@@ -120,6 +120,17 @@ class Appender {
   std::size_t base_;
 };
 
+/// One probe of flat_lower_bound (n > 1): halves the window of `n`
+/// candidates starting at `base`. Invariant: base + n == count, or
+/// keys[base + n - 1] >= probe — so once n == 1, the answer is base
+/// unless keys[base] < probe, and then base + 1 == count.
+inline void lower_bound_step(const Key* keys, std::size_t& base,
+                             std::size_t& n, Key probe) noexcept {
+  const std::size_t half = n / 2;
+  base += (keys[base + half - 1] < probe) ? half : 0;
+  n -= half;
+}
+
 /// First index in [0, n] whose key is >= probe: branchless binary
 /// search over the flat key array. The per-step update compiles to a
 /// conditional move, so the in-node hot loop carries no unpredictable
@@ -128,11 +139,7 @@ class Appender {
 inline std::size_t flat_lower_bound(const Key* keys, std::size_t n,
                                     Key probe) noexcept {
   std::size_t base = 0;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base += (keys[base + half - 1] < probe) ? half : 0;
-    n -= half;
-  }
+  while (n > 1) lower_bound_step(keys, base, n, probe);
   return base + static_cast<std::size_t>(n == 1 && keys[base] < probe);
 }
 
@@ -359,12 +366,16 @@ inline std::mutex& stripe_lock(std::size_t stripe) noexcept {
   return locks[stripe].mu;
 }
 
+inline void prefetch(const void* line) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(line);
+#endif
+}
+
 /// Prefetch a node's first key cache line; issued during the index
 /// descent so the line lands before the in-node search needs it.
 inline void prefetch_keys(const Node* node) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(static_cast<const void*>(node->keys()));
-#endif
+  prefetch(node->keys());
 }
 
 }  // namespace detail
@@ -422,50 +433,206 @@ struct SearchResult {
 /// retired it finishes; a relinked one would spin it forever.
 inline constexpr std::uint32_t kMaxRetiredRestarts = 1u << 16;
 
-/// Uninstrumented predecessor search (the LT/COP fast path). Restarts
-/// when it steps on a marked pointer or a retired node; must run under
-/// an ebr::Guard.
-inline SearchResult search_predecessors(Node* head, int max_level, Key key) {
-  [[maybe_unused]] std::uint32_t retired_restarts = 0;
-  while (true) {
-    SearchResult result;
-    bool restart = false;
-    Node* x = head;
-    for (int i = max_level - 1; i >= 0 && !restart; --i) {
-      Node* x_next = nullptr;
-      while (true) {
-        const std::uint64_t word = x->next(i).load_word();
-        if (util::is_marked(word)) {
-          restart = true;
-          break;
-        }
-        x_next = util::to_ptr<Node>(word);
-        if (!x_next->live.load(std::memory_order_acquire)) {
-          if constexpr (stm::kChecks) {
-            if (++retired_restarts == kMaxRetiredRestarts) {
-              std::fprintf(stderr,
-                           "leaplist: search for key %lld restarted %u times "
-                           "on a retired node still linked at level %d\n",
-                           static_cast<long long>(key), retired_restarts, i);
-              std::abort();
-            }
-          }
-          restart = true;
-          break;
-        }
-        if (x_next->high_raw() >= key) {
-          // The cover candidate's keys get searched right after the
-          // descent lands; start the line toward L1 now, while the
-          // remaining levels still hide the latency.
-          if (i <= 1) detail::prefetch_keys(x_next);
-          break;
-        }
-        x = x_next;
+/// Where an uninstrumented search stands: on `x` at `level`, holding
+/// x's successor there in `succ`, loaded but not yet judged. Loading a
+/// link prefetches what judging it reads (succ's header) and the link
+/// word a step right reads next, so a caller that interleaves several
+/// searches (GetProbe) finds both in cache when it steps this one again.
+///
+/// Trivial (no member initializers) so that a batch's probe slots cost
+/// nothing until search_cursor fills them.
+struct SearchCursor {
+  Node* head;
+  int max_level;
+  Key key;
+  Node* x;
+  Node* succ;
+  int level;
+  std::uint32_t retired_restarts;
+};
+
+namespace detail {
+
+/// Load x's link at the cursor's level into succ; false on a marked
+/// link (x was replaced under the search).
+inline bool load_link(SearchCursor& c) noexcept {
+  const std::uint64_t word = c.x->next(c.level).load_word();
+  if (util::is_marked(word)) return false;
+  c.succ = util::to_ptr<Node>(word);
+  prefetch(c.succ);
+  prefetch(&c.succ->next(c.level));
+  return true;
+}
+
+}  // namespace detail
+
+/// (Re)start a search at the head's top level. The head is never a
+/// victim, so its links are never marked.
+inline void search_start(SearchCursor& c) noexcept {
+  c.x = c.head;
+  c.level = c.max_level - 1;
+  [[maybe_unused]] const bool loaded = detail::load_link(c);
+  assert(loaded);
+}
+
+inline SearchCursor search_cursor(Node* head, int max_level, Key key) {
+  SearchCursor c;
+  c.head = head;
+  c.max_level = max_level;
+  c.key = key;
+  c.retired_restarts = 0;
+  search_start(c);
+  return c;
+}
+
+/// One hop of the uninstrumented search, the only copy of its rules:
+/// judge succ — a retired node restarts the search from the head, a
+/// node covering the key descends a level (recording the bracket in
+/// `record` when given), any other node is stepped onto — then load
+/// the next link, restarting on a mark. True once the level-0 bracket
+/// (x, succ) is found. Must run under an ebr::Guard.
+inline bool search_step(SearchCursor& c, SearchResult* record) {
+  Node* succ = c.succ;
+  if (!succ->live.load(std::memory_order_acquire)) {
+    if constexpr (stm::kChecks) {
+      if (++c.retired_restarts == kMaxRetiredRestarts) {
+        std::fprintf(stderr,
+                     "leaplist: search for key %lld restarted %u times "
+                     "on a retired node still linked at level %d\n",
+                     static_cast<long long>(c.key), c.retired_restarts,
+                     c.level);
+        std::abort();
       }
-      result.pa[i] = x;
-      result.na[i] = x_next;
     }
-    if (!restart) return result;
+    search_start(c);
+    return false;
+  }
+  if (succ->high_raw() >= c.key) {
+    if (record != nullptr) {
+      record->pa[c.level] = c.x;
+      record->na[c.level] = succ;
+    }
+    // The cover candidate's keys get searched right after the descent
+    // lands; start the line toward L1 while the last levels still hide
+    // the latency.
+    if (c.level <= 1) detail::prefetch_keys(succ);
+    if (c.level == 0) return true;
+    --c.level;
+  } else {
+    c.x = succ;
+  }
+  if (!detail::load_link(c)) search_start(c);
+  return false;
+}
+
+/// Uninstrumented predecessor search (the LT/COP fast path): the
+/// bracket at every level. Restarts when it steps on a marked pointer
+/// or a retired node; must run under an ebr::Guard.
+inline SearchResult search_predecessors(Node* head, int max_level, Key key) {
+  SearchResult result;
+  SearchCursor c = search_cursor(head, max_level, key);
+  while (!search_step(c, &result)) {
+  }
+  return result;
+}
+
+/// One point lookup advanced a step at a time: a search hop, one probe
+/// of the in-node lower bound, or the value read. Each step prefetches
+/// the lines the probe's next step reads, so walk_interleaved can
+/// overlap the cache misses of a batch (group prefetching, AMAC).
+class GetProbe {
+ public:
+  /// An unusable slot (trivial, like SearchCursor); assign a real probe
+  /// from LeapListBase::get_probe before stepping it.
+  GetProbe() = default;
+  GetProbe(Node* head, int max_level, Key key)
+      : cursor_(search_cursor(head, max_level, key)),
+        phase_(Phase::kDescend),
+        found_(false) {}
+
+  /// Advance one step; true once the answer is known.
+  bool step() {
+    switch (phase_) {
+      case Phase::kDescend:
+        if (!search_step(cursor_, nullptr)) return false;
+        keys_ = cursor_.succ->keys();
+        base_ = 0;
+        len_ = cursor_.succ->count;
+        phase_ = Phase::kSearch;
+        prefetch_probe();
+        return false;
+      case Phase::kSearch:
+        if (len_ > 1) {
+          detail::lower_bound_step(keys_, base_, len_, cursor_.key);
+          prefetch_probe();
+          return false;
+        }
+        if (len_ == 1 && keys_[base_] == cursor_.key) {
+          detail::prefetch(cursor_.succ->values() + base_);
+          phase_ = Phase::kValue;
+          return false;
+        }
+        phase_ = Phase::kDone;
+        return true;
+      case Phase::kValue:
+        value_ = cursor_.succ->values()[base_];
+        found_ = true;
+        phase_ = Phase::kDone;
+        return true;
+      case Phase::kDone:
+        break;
+    }
+    return true;
+  }
+
+  Key key() const { return cursor_.key; }
+  Node* head() const { return cursor_.head; }
+  int max_level() const { return cursor_.max_level; }
+  /// The level-0 bracket the search landed on: the cover node and its
+  /// predecessor.
+  Node* pred() const { return cursor_.x; }
+  const Node* node() const { return cursor_.succ; }
+  std::optional<Value> answer() const {
+    if (!found_) return std::nullopt;
+    return value_;
+  }
+
+ private:
+  enum class Phase : std::uint8_t { kDescend, kSearch, kValue, kDone };
+
+  void prefetch_probe() const {
+    detail::prefetch(keys_ + (len_ > 1 ? base_ + len_ / 2 - 1 : base_));
+  }
+
+  SearchCursor cursor_;
+  const Key* keys_;  // the cover node's keys, once landed
+  std::size_t base_;  // lower-bound window [base_, base_ + len_]
+  std::size_t len_;
+  Value value_;
+  Phase phase_;
+  bool found_;
+};
+
+/// Lookups in flight in one interleaved batch. Sixteen is a pipelined
+/// burst of point_get, and the gain flattens past it (abl_search).
+inline constexpr std::size_t kProbeGroup = 16;
+
+/// Step up to kProbeGroup probes round-robin until every one has
+/// answered, so each probe's misses land while the others step. The
+/// probes may search different lists. Must run under an ebr::Guard.
+inline void walk_interleaved(GetProbe* probes, std::size_t n) {
+  assert(n <= kProbeGroup);
+  std::array<GetProbe*, kProbeGroup> active;
+  for (std::size_t j = 0; j < n; ++j) active[j] = probes + j;
+  std::size_t live = n;
+  while (live > 0) {
+    for (std::size_t j = 0; j < live;) {
+      if (active[j]->step()) {
+        active[j] = active[--live];
+      } else {
+        ++j;
+      }
+    }
   }
 }
 
@@ -530,6 +697,11 @@ class LeapListBase {
   LeapListBase& operator=(const LeapListBase&) = delete;
 
   const Params& params() const { return params_; }
+
+  /// A raw lookup of `key` on this list, stepped by walk_interleaved.
+  GetProbe get_probe(Key key) const {
+    return GetProbe(head_, params_.max_level, key);
+  }
 
   /// Single-threaded preload of a quiescent (freshly built) list.
   /// Duplicate keys keep the last value; nodes are filled to half
@@ -1119,27 +1291,38 @@ class LeapListBase {
   std::optional<Value> txn_get(stm::Tx& tx, Key key, TxSearch mode) const {
     assert(tx.in_tx());
     if (mode == TxSearch::kHybrid) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      // Replacing the cover node rewrites its (unique) bottom-level
-      // predecessor word, so one clean hop pins the node's identity and
-      // immutable content makes the read valid.
-      if (!tx.has_write(sr.pa[0]->next(0))) {
-        if (sr.pa[0]->next(0).tx_read(tx) != util::to_word(sr.na[0])) {
-          tx.abort();
-        }
-        const Node* n = sr.na[0];
-        const int idx = find_in(n, key);
-        if (idx < 0) return std::nullopt;
-        return n->values()[idx];
+      GetProbe probe = get_probe(key);
+      while (!probe.step()) {
       }
+      return finish_get(tx, probe);
     }
-    const SearchResult sr =
-        search_predecessors_tx(tx, head_, params_.max_level, key);
+    return get_instrumented(tx, head_, params_.max_level, key);
+  }
+
+  /// The fully instrumented get: Leap-tm's single-op discipline, and
+  /// the hybrid get's fallback.
+  static std::optional<Value> get_instrumented(stm::Tx& tx, Node* head,
+                                               int max_level, Key key) {
+    const SearchResult sr = search_predecessors_tx(tx, head, max_level, key);
     const Node* n = sr.na[0];
     const int idx = find_in(n, key);
     if (idx < 0) return std::nullopt;
     return n->values()[idx];
+  }
+
+  /// The hybrid get's rule, applied to a finished raw probe. Replacing
+  /// the cover node rewrites its (unique) bottom-level predecessor
+  /// word, so one clean hop pins the node's identity, and immutable
+  /// content makes the probe's answer valid: tx_read that hop and abort
+  /// when it moved. A hop this transaction wrote falls back to the
+  /// instrumented search, which reads its own writes.
+  static std::optional<Value> finish_get(stm::Tx& tx, const GetProbe& p) {
+    stm::TxField<std::uint64_t>& hop = p.pred()->next(0);
+    if (tx.has_write(hop)) {
+      return get_instrumented(tx, p.head(), p.max_level(), p.key());
+    }
+    if (hop.tx_read(tx) != util::to_word(p.node())) tx.abort();
+    return p.answer();
   }
 
   /// Visitor-driven in-transaction range scan. The visitor runs during
@@ -1430,6 +1613,36 @@ class LeapListTM : public LeapListBase {
 
   std::optional<Value> get_in(stm::Tx& tx, Key key) const {
     return txn_get(tx, key, TxSearch::kHybrid);
+  }
+
+  /// out[j] = get_in(tx, keys[j]) for every j < n, with the raw
+  /// descents interleaved. Same answers, read set and abort conditions
+  /// as the n calls in order.
+  void get_many_in(stm::Tx& tx, const Key* keys, std::size_t n,
+                   std::optional<Value>* out) const {
+    batch_get_in(
+        tx, n, [&](std::size_t j) { return get_probe(keys[j]); },
+        [&](std::size_t j, std::optional<Value> hit) { out[j] = hit; });
+  }
+
+  /// The batch behind every get_many_in, over any mix of lists: the
+  /// j-th lookup is `probe_for(j)` (a get_probe of the list it reads),
+  /// and its answer goes to `emit(j, answer)` in j order. Lookups walk
+  /// interleaved kProbeGroup at a time, then each group is pinned in
+  /// order by the hybrid get's rule (finish_get).
+  template <typename ProbeFor, typename Emit>
+  static void batch_get_in(stm::Tx& tx, std::size_t n, ProbeFor&& probe_for,
+                           Emit&& emit) {
+    assert(tx.in_tx());
+    std::array<GetProbe, kProbeGroup> probes;
+    for (std::size_t at = 0; at < n; at += kProbeGroup) {
+      const std::size_t m = std::min(kProbeGroup, n - at);
+      for (std::size_t j = 0; j < m; ++j) probes[j] = probe_for(at + j);
+      walk_interleaved(probes.data(), m);
+      for (std::size_t j = 0; j < m; ++j) {
+        emit(at + j, finish_get(tx, probes[j]));
+      }
+    }
   }
 
   /// Composable range visitation: enlists in the caller's open

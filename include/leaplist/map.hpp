@@ -165,9 +165,7 @@ class Map {
   bool erase(const K& key) { return engine_.erase(KeyCodec::encode(key)); }
 
   std::optional<V> get(const K& key) const {
-    const auto word = engine_.get(KeyCodec::encode(key));
-    if (!word) return std::nullopt;
-    return ValueCodec::decode(*word);
+    return decode_hit(engine_.get(KeyCodec::encode(key)));
   }
 
   bool contains(const K& key) const {
@@ -272,9 +270,31 @@ class Map {
   std::optional<V> get_in(stm::Tx& tx, const K& key) const
     requires(Policy::kComposable)
   {
-    const auto word = engine_.get_in(tx, KeyCodec::encode(key));
-    if (!word) return std::nullopt;
-    return ValueCodec::decode(*word);
+    return decode_hit(engine_.get_in(tx, KeyCodec::encode(key)));
+  }
+
+  /// out[j] = get_in(tx, keys[j]) for every j < n, with the lookups'
+  /// descents interleaved (core::walk_interleaved) so their cache
+  /// misses overlap. Same answers, read set and abort conditions as
+  /// the n calls in order.
+  void get_many_in(stm::Tx& tx, const K* keys, std::size_t n,
+                   std::optional<V>* out) const
+    requires(Policy::kComposable)
+  {
+    engine_type::batch_get_in(
+        tx, n,
+        [&](std::size_t j) {
+          return engine_.get_probe(KeyCodec::encode(keys[j]));
+        },
+        [&](std::size_t j, std::optional<core::Value> hit) {
+          out[j] = decode_hit(hit);
+        });
+  }
+
+  /// An engine answer as a typed one.
+  static std::optional<V> decode_hit(const std::optional<core::Value>& hit) {
+    if (!hit) return std::nullopt;
+    return ValueCodec::decode(*hit);
   }
 
   template <typename F>

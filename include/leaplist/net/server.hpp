@@ -29,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,6 +99,14 @@ class Server {
   /// Stop accepting, wake every worker, join them, close all
   /// connections. Idempotent; also run by the destructor.
   void stop();
+
+  /// stop(), but wait at most `bound` for the workers. False when a
+  /// worker has not returned by then (stuck in a request): `stuck`
+  /// names each such worker and its thread id, and nothing is joined
+  /// or closed, so the caller may wait again or exit without closing
+  /// the store (recovery then treats the exit as a crash).
+  bool stop_within(std::chrono::milliseconds bound,
+                   std::string* stuck = nullptr);
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 

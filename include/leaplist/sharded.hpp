@@ -290,6 +290,25 @@ class ShardedMap {
     return shards_[shard_of(key)]->get_in(tx, key);
   }
 
+  /// out[j] = get_in(tx, keys[j]) for every j < n: each key routes to
+  /// its shard, and the lookups step round-robin across shards so their
+  /// cache misses overlap. Same answers, read set and abort conditions
+  /// as the n calls in order.
+  void get_many_in(stm::Tx& tx, const K* keys, std::size_t n,
+                   std::optional<V>* out) const
+    requires(Policy::kComposable)
+  {
+    Policy::engine::batch_get_in(
+        tx, n,
+        [&](std::size_t j) {
+          const core::Key word = KeyCodec::encode(keys[j]);
+          return shards_[route(word)]->engine().get_probe(word);
+        },
+        [&](std::size_t j, std::optional<core::Value> hit) {
+          out[j] = shard_type::decode_hit(hit);
+        });
+  }
+
   template <typename F>
   std::size_t for_range_in(stm::Tx& tx, const K& low, const K& high,
                            F&& fn) const

@@ -30,6 +30,9 @@
 // then serves until SIGINT/SIGTERM, shuts down cleanly, and reports:
 //   leapd: served <ops> ops over <conns> connections (<errs> protocol
 //   errors); clean shutdown
+// A worker that has not returned kStopBoundMs after the signal (stuck
+// in a request) is named on stderr, and leapd exits 3 at once without
+// closing the store, so recovery treats the exit as a crash.
 // scripts/net_smoke.sh keys off both lines. While serving, a stats
 // line prints every --stats-interval seconds (0 disables):
 //   leapd: stats ops=... shed=... queue=<now>/<hwm> retries=...
@@ -43,6 +46,7 @@
 #include <time.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +58,10 @@
 #include "leaplist/store/io.hpp"
 
 namespace {
+
+/// How long shutdown waits for the workers: under the 2 s that
+/// perfbench's stop step allows before it escalates to SIGKILL.
+constexpr long kStopBoundMs = 1000;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -284,7 +292,15 @@ int main(int argc, char** argv) {
     if (errno == EINTR) continue;
     break;
   }
-  server.stop();
+  std::string stuck;
+  if (!server.stop_within(std::chrono::milliseconds(kStopBoundMs), &stuck)) {
+    std::fprintf(stderr,
+                 "leapd: %s still running %ld ms after shutdown began; "
+                 "exiting without closing the store\n",
+                 stuck.c_str(), kStopBoundMs);
+    std::fflush(stdout);
+    std::_Exit(3);  // the Server's destructor would join the stuck worker
+  }
   const leap::net::ServerStats stats = server.stats();
   std::printf(
       "leapd: served %llu ops over %llu connections (%llu protocol "

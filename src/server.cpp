@@ -113,6 +113,8 @@ struct Server::Worker {
   int epoll_fd = -1;
   int wake_fd = -1;
   std::thread thread;
+  std::atomic<pid_t> tid{0};  // the thread's kernel id, for stuck reports
+  std::atomic<bool> exited{false};  // run() has returned
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
   Counters counters;
   /// Admitted requests buffered across this worker's connections,
@@ -129,6 +131,8 @@ struct Server::Worker {
   std::vector<Request> batch;
   std::vector<TxnResult> results;
   std::vector<std::pair<std::int64_t, std::int64_t>> scan_buf;
+  std::vector<std::int64_t> get_keys;
+  std::vector<std::optional<std::int64_t>> get_hits;
   std::vector<store::LogOp> log_ops;
   // Distinct addresses tagging the non-connection epoll registrations.
   int listen_tag = 0;
@@ -573,6 +577,25 @@ struct Server::Worker {
     }
   }
 
+  /// Answer the run of consecutive Gets that starts at batch[i] with
+  /// one interleaved batch lookup, appending a result per Get; returns
+  /// the index past the run. The run sits at its place in the
+  /// transaction, so it reads the burst's earlier writes.
+  std::size_t exec_get_run(stm::Tx& tx, std::size_t i) {
+    get_keys.clear();
+    for (; i < batch.size() && batch[i].op == Op::kGet; ++i) {
+      get_keys.push_back(batch[i].key);
+    }
+    get_hits.resize(get_keys.size());
+    server.map_.get_many_in(tx, get_keys.data(), get_keys.size(),
+                            get_hits.data());
+    for (const std::optional<std::int64_t>& hit : get_hits) {
+      results.push_back({hit.has_value() ? std::uint8_t{1} : std::uint8_t{0},
+                         hit.value_or(0)});
+    }
+    return i;
+  }
+
   /// Execute `batch` (point ops only) as ONE transaction and append
   /// the per-op response frames in order. The closure may re-run on
   /// conflict, so results are (re)collected per attempt and frames are
@@ -587,15 +610,13 @@ struct Server::Worker {
     const auto apply = [&] {
       leap::txn([&](stm::Tx& tx) {
         results.clear();
-        for (const Request& req : batch) {
+        for (std::size_t i = 0; i < batch.size();) {
+          const Request& req = batch[i];
           TxnResult r;
           switch (req.op) {
-            case Op::kGet: {
-              const auto hit = map.get_in(tx, req.key);
-              r.flag = hit.has_value() ? 1 : 0;
-              r.value = hit.value_or(0);
-              break;
-            }
+            case Op::kGet:
+              i = exec_get_run(tx, i);
+              continue;
             case Op::kPut:
               r.flag = map.insert_in(tx, req.key, req.value) ? 1 : 0;
               break;
@@ -604,6 +625,7 @@ struct Server::Worker {
               break;
           }
           results.push_back(r);
+          ++i;
         }
       });
     };
@@ -617,14 +639,13 @@ struct Server::Worker {
       // reflect the current (read-only-from-here) map state.
       leap::txn([&](stm::Tx& tx) {
         results.clear();
-        for (const Request& req : batch) {
-          TxnResult r;
-          if (req.op == Op::kGet) {
-            const auto hit = map.get_in(tx, req.key);
-            r.flag = hit.has_value() ? 1 : 0;
-            r.value = hit.value_or(0);
+        for (std::size_t i = 0; i < batch.size();) {
+          if (batch[i].op == Op::kGet) {
+            i = exec_get_run(tx, i);
+          } else {
+            results.push_back({});
+            ++i;
           }
-          results.push_back(r);
         }
       });
       patch_cold_gets(batch);
@@ -862,8 +883,42 @@ bool Server::start(std::string* error) {
     workers_.push_back(std::move(worker));
   }
   for (auto& worker : workers_) {
-    worker->thread = std::thread([w = worker.get()] { w->run(); });
+    worker->thread = std::thread([w = worker.get()] {
+      w->tid.store(::gettid(), std::memory_order_relaxed);
+      w->run();
+      w->exited.store(true, std::memory_order_release);
+    });
   }
+  return true;
+}
+
+bool Server::stop_within(std::chrono::milliseconds bound,
+                         std::string* stuck) {
+  running_.store(false, std::memory_order_release);
+  for (auto& worker : workers_) worker->wake();
+  const auto running = [](const std::unique_ptr<Worker>& worker) {
+    return worker->thread.joinable() &&
+           !worker->exited.load(std::memory_order_acquire);
+  };
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  while (std::any_of(workers_.begin(), workers_.end(), running)) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      if (stuck) {
+        stuck->clear();
+        for (std::size_t w = 0; w < workers_.size(); ++w) {
+          if (!running(workers_[w])) continue;
+          if (!stuck->empty()) *stuck += ", ";
+          *stuck += "worker " + std::to_string(w) + " (tid " +
+                    std::to_string(workers_[w]->tid.load(
+                        std::memory_order_relaxed)) +
+                    ")";
+        }
+      }
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop();
   return true;
 }
 

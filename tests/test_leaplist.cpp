@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -84,6 +85,20 @@ void test_variant(const char* name, Params params) {
         const auto actual = list.get(key);
         CHECK_EQ(actual.has_value(), expected != reference.end());
         if (actual) CHECK_EQ(*actual, expected->second);
+        if constexpr (requires { &ListT::get_many_in; }) {
+          // The batched composable get answers a burst around the key.
+          Key keys[5];
+          std::optional<Value> got[5];
+          for (Key j = 0; j < 5; ++j) keys[j] = key + 3 * j - 6;
+          leap::txn([&](leap::stm::Tx& tx) {
+            list.get_many_in(tx, keys, 5, got);
+          });
+          for (int j = 0; j < 5; ++j) {
+            const auto it = reference.find(keys[j]);
+            CHECK_EQ(got[j].has_value(), it != reference.end());
+            if (got[j]) CHECK_EQ(*got[j], it->second);
+          }
+        }
       } else {
         const Key span = static_cast<Key>(rng.next_below(200));
         check_range(list, reference, key, key + span);
@@ -122,7 +137,9 @@ void test_variant(const char* name, Params params) {
 void test_stuck_search_aborts() {
   // A retired node left linked (what a write built on an unread word
   // did) makes every search restart on it. Checked builds bound that:
-  // the search aborts instead of spinning. Run in a child process.
+  // the search aborts instead of spinning — the plain search and the
+  // interleaved batch walk alike, since both take the same step. Each
+  // runs in a child process.
   if constexpr (!leap::stm::kChecks) return;
   Node* head = make_node(1, 1, std::numeric_limits<Key>::min());
   Node* retired = make_node(1, 1, 100);
@@ -130,16 +147,24 @@ void test_stuck_search_aborts() {
   retired->next(0).init(leap::util::to_word(tail));
   head->next(0).init(leap::util::to_word(retired));
   retired->live.store(false);
-  const pid_t child = ::fork();
-  CHECK(child >= 0);
-  if (child == 0) {
-    (void)std::freopen("/dev/null", "w", stderr);
-    (void)search_predecessors(head, 1, 50);
-    std::_Exit(0);
+  const auto search_plain = [&] { (void)search_predecessors(head, 1, 50); };
+  const auto search_batched = [&] {
+    GetProbe probes[2] = {GetProbe(head, 1, 50), GetProbe(head, 1, 150)};
+    walk_interleaved(probes, 2);
+  };
+  for (const auto& search : {std::function<void()>(search_plain),
+                             std::function<void()>(search_batched)}) {
+    const pid_t child = ::fork();
+    CHECK(child >= 0);
+    if (child == 0) {
+      (void)std::freopen("/dev/null", "w", stderr);
+      search();
+      std::_Exit(0);
+    }
+    int status = 0;
+    CHECK_EQ(::waitpid(child, &status, 0), child);
+    CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
   }
-  int status = 0;
-  CHECK_EQ(::waitpid(child, &status, 0), child);
-  CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
   destroy_node(head);
   destroy_node(retired);
   destroy_node(tail);

@@ -12,6 +12,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -447,24 +448,38 @@ void test_pipelined_burst(Server& server) {
     std::int64_t value;
   };
   std::vector<Sent> sent;
-  for (int i = 0; i < 300; ++i) {
-    const std::int64_t key =
-        5000 + static_cast<std::int64_t>(rng.next_below(64));
+  // 64 keys strided over the whole routing window, so the server's Get
+  // runs (one interleaved lookup each) cross shards and nodes.
+  const auto draw_key = [&] {
+    return 5000 + 15'607 * static_cast<std::int64_t>(rng.next_below(64));
+  };
+  std::vector<bool> shard_hit(server.map().shard_count(), false);
+  for (std::int64_t j = 0; j < 64; ++j) {
+    shard_hit[server.map().shard_of(5000 + 15'607 * j)] = true;
+  }
+  CHECK(std::find(shard_hit.begin(), shard_hit.end(), false) ==
+        shard_hit.end());
+  while (sent.size() < 300) {
     const int dial = static_cast<int>(rng.next_below(3));
     if (dial == 0) {
+      const std::int64_t key = draw_key();
       const std::int64_t value = static_cast<std::int64_t>(rng.next());
       const bool inserted = oracle.insert_or_assign(key, value).second;
       client.queue_put(key, value);
       sent.push_back({Op::kPut, key, inserted, 0});
     } else if (dial == 1) {
+      const std::int64_t key = draw_key();
       const bool erased = oracle.erase(key) > 0;
       client.queue_erase(key);
       sent.push_back({Op::kErase, key, erased, 0});
     } else {
-      const auto it = oracle.find(key);
-      const bool found = it != oracle.end();
-      client.queue_get(key);
-      sent.push_back({Op::kGet, key, found, found ? it->second : 0});
+      for (std::uint64_t run = 1 + rng.next_below(24); run > 0; --run) {
+        const std::int64_t key = draw_key();
+        const auto it = oracle.find(key);
+        const bool found = it != oracle.end();
+        client.queue_get(key);
+        sent.push_back({Op::kGet, key, found, found ? it->second : 0});
+      }
     }
   }
   CHECK(client.flush());
@@ -1128,6 +1143,38 @@ void test_emfile_recovery() {
   server.stop();
 }
 
+void test_stop_reports_stuck_worker() {
+  // A worker blocked inside a request must not make shutdown wait
+  // forever: stop_within names it once its bound passes. Holding the
+  // STM's commit gate exclusively blocks the worker in its Put's
+  // commit until the gate opens.
+  Server server(test_options());
+  CHECK(server.start());
+  Client client;
+  CHECK(client.connect("127.0.0.1", server.port()));
+  leap::stm::detail::commit_gate_lock_exclusive();
+  client.queue_put(7, 70);
+  CHECK(client.flush());
+  // The batch counter moves when the worker begins the burst; from
+  // then on it cannot return before the commit.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().batches == 0) {
+    CHECK(std::chrono::steady_clock::now() < deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string stuck;
+  CHECK(!server.stop_within(std::chrono::milliseconds(100), &stuck));
+  CHECK(stuck.find("worker") != std::string::npos);
+  CHECK(stuck.find("tid") != std::string::npos);
+  CHECK(stuck.find(',') == std::string::npos);  // only the blocked one
+  leap::stm::detail::commit_gate_unlock_exclusive();
+  stuck.clear();
+  CHECK(server.stop_within(std::chrono::seconds(30), &stuck));
+  CHECK(stuck.empty());
+  CHECK(!server.running());
+}
+
 void test_stop_with_live_connections() {
   Server server(test_options());
   CHECK(server.start());
@@ -1169,6 +1216,7 @@ int main() {
   test_shed_battery();
   test_emfile_recovery();
   test_stop_with_live_connections();
+  test_stop_reports_stuck_worker();
 
   return leap::test::finish("test_net");
 }

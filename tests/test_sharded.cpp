@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -306,6 +307,118 @@ void test_composition() {
   std::printf("  composition ok\n");
 }
 
+// --- Batched gets inside composed transactions ------------------------
+// get_many_in answers a run of gets as the sequential get_in calls
+// would, at its place in the transaction: it sees the transaction's own
+// earlier puts and erases (the has_write fallback to the instrumented
+// search), keys in every shard and past both window edges, and runs
+// longer than one interleaved group, while node_size 4 keeps splitting
+// and merging nodes under it.
+
+template <typename M>
+void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
+                          std::uint64_t seed) {
+  std::map<std::int32_t, std::int64_t> reference;
+  leap::util::Xoshiro256 rng(seed);
+  const auto draw_key = [&]() -> std::int32_t {
+    return lo - 20 +
+           static_cast<std::int32_t>(rng.next_below(
+               static_cast<std::uint64_t>(hi - lo) + 41));
+  };
+  struct Op {
+    int kind;  // 0 put, 1 erase, 2 get
+    std::int32_t key;
+    std::int64_t value;
+  };
+  std::vector<Op> ops;
+  std::vector<std::int32_t> keys;
+  std::vector<std::optional<std::int64_t>> got;
+  std::size_t gets = 0;
+  for (int burst = 0; burst < 1500; ++burst) {
+    ops.clear();
+    std::vector<std::int32_t> written;
+    const int runs = 1 + static_cast<int>(rng.next_below(6));
+    for (int r = 0; r < runs; ++r) {
+      const int kind = static_cast<int>(rng.next_below(3));
+      // Write runs stay short; get runs sometimes outgrow one group.
+      const std::uint64_t len =
+          kind == 2 ? 1 + rng.next_below(rng.next_below(4) == 0 ? 40 : 12)
+                    : 1 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        std::int32_t key = draw_key();
+        if (kind == 2 && !written.empty() && (rng.next() & 1) != 0) {
+          // A key this burst already wrote, or its neighbour in the
+          // same node: the batch must read the transaction's writes.
+          key = written[rng.next_below(written.size())] +
+                static_cast<std::int32_t>(rng.next_below(3)) - 1;
+        }
+        if (kind != 2) written.push_back(key);
+        ops.push_back({kind, key, static_cast<std::int64_t>(rng.next())});
+      }
+    }
+    std::map<std::int32_t, std::int64_t> after;
+    leap::txn([&](leap::stm::Tx& tx) {
+      after = reference;  // the closure re-runs from scratch on retry
+      for (std::size_t i = 0; i < ops.size();) {
+        const Op& op = ops[i];
+        if (op.kind == 0) {
+          CHECK_EQ(map.insert_in(tx, op.key, op.value),
+                   after.find(op.key) == after.end());
+          after[op.key] = op.value;
+          ++i;
+          continue;
+        }
+        if (op.kind == 1) {
+          CHECK_EQ(map.erase_in(tx, op.key), after.erase(op.key) > 0);
+          ++i;
+          continue;
+        }
+        keys.clear();
+        for (; i < ops.size() && ops[i].kind == 2; ++i) {
+          keys.push_back(ops[i].key);
+        }
+        got.assign(keys.size(), std::optional<std::int64_t>(-1));
+        map.get_many_in(tx, keys.data(), keys.size(), got.data());
+        for (std::size_t j = 0; j < keys.size(); ++j) {
+          const auto it = after.find(keys[j]);
+          CHECK_EQ(got[j].has_value(), it != after.end());
+          if (got[j]) CHECK_EQ(*got[j], it->second);
+          CHECK(got[j] == map.get_in(tx, keys[j]));
+        }
+      }
+    });
+    reference = std::move(after);
+    gets += std::count_if(ops.begin(), ops.end(),
+                          [](const Op& op) { return op.kind == 2; });
+  }
+  CHECK(map.debug_validate());
+  CHECK_EQ(map.size_slow(), reference.size());
+  // A whole-window batch after the storm: every key, one call.
+  keys.clear();
+  for (std::int32_t k = lo - 20; k <= hi + 20; ++k) keys.push_back(k);
+  got.assign(keys.size(), std::nullopt);
+  leap::txn([&](leap::stm::Tx& tx) {
+    map.get_many_in(tx, keys.data(), keys.size(), got.data());
+  });
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    const auto it = reference.find(keys[j]);
+    CHECK_EQ(got[j].has_value(), it != reference.end());
+    if (got[j]) CHECK_EQ(*got[j], it->second);
+  }
+  CHECK(gets > 10000);
+}
+
+void test_batched_get_fuzz() {
+  const Params storm{.node_size = 4, .max_level = 6};
+  constexpr std::int32_t kHalf = 400;
+  leap::ShardedMap<std::int32_t, std::int64_t, policy::TM> sharded(
+      ShardOptions{.shards = 8, .params = storm}, -kHalf, kHalf);
+  run_batched_get_fuzz(sharded, -kHalf, kHalf, 4711);
+  leap::Map<std::int32_t, std::int64_t, policy::TM> plain(storm);
+  run_batched_get_fuzz(plain, -kHalf, kHalf, 4712);
+  std::printf("  batched get fuzz ok\n");
+}
+
 // --- Cross-shard linearizability stress ------------------------------
 // Each logical key 1..kLogical lives at exactly one of two slots — k
 // (low shards) or k + kOffset (high shards). Movers bounce values
@@ -386,10 +499,17 @@ void test_cross_shard_atomicity_stress() {
       while (!stop.load(std::memory_order_relaxed)) {
         const auto k =
             static_cast<std::int64_t>(1 + rng.next_below(kLogical));
+        // Half the readers take both slots in one batched lookup.
         const int holders = leap::txn([&](leap::stm::Tx& tx) {
+          const std::int64_t slots[2] = {k, k + kOffset};
+          std::optional<std::int64_t> values[2];
+          if (t % 2 == 0) {
+            for (int i = 0; i < 2; ++i) values[i] = map.get_in(tx, slots[i]);
+          } else {
+            map.get_many_in(tx, slots, 2, values);
+          }
           int count = 0;
-          for (const std::int64_t at : {k, k + kOffset}) {
-            const auto value = map.get_in(tx, at);
+          for (const auto& value : values) {
             if (value.has_value()) {
               CHECK_EQ(*value, value_for(k));
               ++count;
@@ -457,6 +577,7 @@ int main() {
   test_boundary_fuzz<policy::TM>("TM");
   test_boundary_fuzz<policy::SkipCAS>("SkipCAS");
   test_composition();
+  test_batched_get_fuzz();
   test_cross_shard_atomicity_stress();
   return leap::test::finish("test_sharded");
 }
