@@ -138,22 +138,15 @@ class LeapTable {
   }
 
   /// Rows decode straight off the index visitation — no intermediate
-  /// KV buffer. REPLACES `out`; the visitor's restart hook keeps the
-  /// output exact across hybrid-search fallbacks mid-transaction.
+  /// KV buffer. REPLACES `out`, so a retried closure starts clean.
   void scan_in(stm::Tx& tx, std::size_t column, ColumnValue low,
                ColumnValue high, std::vector<Row>& out) const {
     out.clear();
-    struct RowAppend {
-      std::vector<Row>& out;
-      std::size_t base;
-      void operator()(const IndexKey&, const Stored* stored) {
-        out.push_back(stored->row);
-      }
-      void on_restart() { out.resize(base); }
-    } sink{out, out.size()};
     secondary_[column]->for_range_in(
-        tx, IndexKey{low, 0},
-        IndexKey{high, (RowId{1} << kIdBits) - 1}, sink);
+        tx, IndexKey{low, 0}, IndexKey{high, (RowId{1} << kIdBits) - 1},
+        [&](const IndexKey&, const Stored* stored) {
+          out.push_back(stored->row);
+        });
   }
 
  private:

@@ -75,10 +75,12 @@ bool visit_one(F& fn, const KT& key, const VT& value) {
   }
 }
 
-/// Range visitation is speculative: an attempt that fails validation
-/// re-visits from the low bound. A visitor that accumulates state may
-/// expose an `on_restart()` member to roll that state back; visitors
-/// without one are assumed stateless (count-only, early-exit probes).
+/// A single-op range scan may re-visit from the low bound: TM's scan
+/// retries its whole transaction, and the bundled walk re-pins when
+/// the history it needs was pruned. A visitor that accumulates state
+/// may expose an `on_restart()` member to roll that state back;
+/// visitors without one are assumed stateless (count-only, early-exit
+/// probes). The composable (in-transaction) forms never restart.
 template <typename F>
 void visit_restart(F& fn) {
   if constexpr (requires { fn.on_restart(); }) fn.on_restart();
@@ -818,10 +820,11 @@ class LeapListBase {
   // level-0 bundles inside their publish commits regardless of policy,
   // so a reader that pins a timestamp walks the chain exactly as it
   // was at that instant — no STM transaction, no validation, no
-  // retries against concurrent updaters. ShardedMap replays ONE pinned
-  // timestamp across all shards, which is what makes stitched scans
-  // linearizable on LT/COP/RW (policy::TM keeps its transactional
-  // stitch for composability).
+  // retries against concurrent updaters. This is LT's, COP's and RW's
+  // for_range. ShardedMap replays ONE pinned timestamp across all
+  // shards, which is what makes stitched scans linearizable on those
+  // policies (policy::TM keeps its transactional scan for
+  // composability).
 
   /// One attempt at visiting [low, high] as of `ts`. The caller owns
   /// the pin (bundle::ScanPin) whose announce protocol guarantees the
@@ -856,12 +859,18 @@ class LeapListBase {
     }
   }
 
-  /// Pin a timestamp and visit [low, high] as of it. Linearizes at the
-  /// pin's clock read; the committed visitation is one consistent
-  /// snapshot. Same visitor contract as for_range (on_restart fires on
-  /// the defensive-restart path).
+  /// Linearizable range visitation via bundled references: pin a
+  /// timestamp and visit [low, high] as of it. No transaction, no
+  /// commit validation, and no retries against concurrent updaters —
+  /// the scan linearizes at the pin's clock read, and immutable node
+  /// content plus the link history makes the visitation one consistent
+  /// snapshot. The visitor may stop the scan early (return false); the
+  /// visited prefix is itself a snapshot at the pinned instant.
+  /// on_restart fires before each attempt: the defensive-restart path
+  /// re-pins and re-visits from `low`. LeapListTM hides this with its
+  /// transactional scan.
   template <typename F>
-  std::size_t for_range_asof(Key low, Key high, F&& fn) const {
+  std::size_t for_range(Key low, Key high, F&& fn) const {
     bundle::ScanPin pin;
     while (true) {
       detail::visit_restart(fn);
@@ -872,6 +881,13 @@ class LeapListBase {
       }
       pin.refresh();
     }
+  }
+
+  /// Legacy bulk form: REPLACES `out` (clears, then collects). New code
+  /// should prefer for_range with leap::append_to for explicit append.
+  std::size_t range_query(Key low, Key high, std::vector<KV>& out) const {
+    out.clear();
+    return for_range(low, high, detail::Appender(out));
   }
 
   /// Longest level-0 bundle on the current chain (tests/debug).
@@ -1325,55 +1341,42 @@ class LeapListBase {
     return p.answer();
   }
 
-  /// Visitor-driven in-transaction range scan. The visitor runs during
-  /// the (speculative) walk so it can stop the scan early; a hybrid
-  /// walk that trips over this transaction's own buffered writes is
-  /// rolled back via visit_restart and redone instrumented. Returns the
-  /// number of pairs visited.
+  /// Visitor-driven in-transaction range scan; returns the number of
+  /// pairs visited. The visitor runs during the walk so it can stop the
+  /// scan early, and each pair reaches it once: the walk never restarts
+  /// (a conflict aborts the whole attempt, which the enclosing closure
+  /// owns). A node leaves this transaction's view of the level-0 chain
+  /// only by being replaced, and a replacement marks the node's own
+  /// level-0 link in the same transaction (apply_swap). So a raw-search
+  /// start whose link this transaction has not written is in the view,
+  /// and from there tx_read's read-your-writes follows the view,
+  /// buffered links included. Only a start whose link this transaction
+  /// wrote takes the instrumented search — decided before any pair is
+  /// visited.
   template <typename F>
   std::size_t txn_for_range(stm::Tx& tx, Key low, Key high, F&& fn,
                             TxSearch mode) const {
     assert(tx.in_tx());
-    std::size_t count = 0;
+    Node* x = nullptr;
     if (mode == TxSearch::kHybrid) {
-      detail::visit_restart(fn);
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, low);
-      Node* x = sr.pa[0];
-      bool self_dirty = false;
-      while (true) {
-        if (tx.has_write(x->next(0))) {
-          // The chain ahead was reshaped by this transaction; only the
-          // instrumented walk sees the buffered pointers.
-          self_dirty = true;
-          break;
-        }
-        const std::uint64_t word = x->next(0).tx_read(tx);
-        if (util::is_marked(word)) {
-          // Unreachable by construction (a pre-begin mark implies the
-          // hop word was re-pointed; a post-begin mark aborts the
-          // tx_read above) — abort defensively rather than hop on it.
-          tx.abort();
-        }
-        Node* n = util::to_ptr<Node>(word);
-        if (!visit_node(n, low, high, fn, count)) return count;
-        if (n->high_raw() >= high) return count;
-        x = n;
-      }
-      assert(self_dirty);
-      (void)self_dirty;
+      x = search_predecessors(head_, params_.max_level, low).pa[0];
+      if (tx.has_write(x->next(0))) x = nullptr;
     }
-    detail::visit_restart(fn);
-    count = 0;
-    const SearchResult sr =
-        search_predecessors_tx(tx, head_, params_.max_level, low);
-    Node* n = sr.na[0];
+    if (x == nullptr) {
+      x = search_predecessors_tx(tx, head_, params_.max_level, low).pa[0];
+    }
+    std::size_t count = 0;
     while (true) {
+      const std::uint64_t word = x->next(0).tx_read(tx);
+      // Only a raw-search start can be marked here: a commit inside
+      // this attempt's snapshot replaced it while the raw search passed
+      // by (the kHybrid race above). Abort rather than hop on it; the
+      // retry's search sees the settled chain.
+      if (util::is_marked(word)) tx.abort();
+      Node* n = util::to_ptr<Node>(word);
       if (!visit_node(n, low, high, fn, count)) break;
       if (n->high_raw() >= high) break;
-      const std::uint64_t word = n->next(0).tx_read(tx);
-      if (util::is_marked(word)) tx.abort();
-      n = util::to_ptr<Node>(word);
+      x = n;
     }
     return count;
   }
@@ -1435,25 +1438,6 @@ class LeapListLT : public LeapListBase {
     const int idx = find_in(n, key);
     if (idx < 0) return std::nullopt;
     return n->values()[idx];
-  }
-
-  /// Linearizable range visitation via bundled references: pin a
-  /// timestamp, walk each node as of it. No transaction, no commit
-  /// validation, and no retries against concurrent updaters — the scan
-  /// linearizes at the pin's clock read, and immutable node content
-  /// plus the link history makes the visitation one consistent
-  /// snapshot. The visitor may stop the scan early (return false); the
-  /// visited prefix is itself a snapshot at the pinned instant.
-  template <typename F>
-  std::size_t for_range(Key low, Key high, F&& fn) const {
-    return for_range_asof(low, high, fn);
-  }
-
-  /// Legacy bulk form: REPLACES `out` (clears, then collects). New code
-  /// should prefer for_range with leap::append_to for explicit append.
-  std::size_t range_query(Key low, Key high, std::vector<KV>& out) const {
-    out.clear();
-    return for_range(low, high, detail::Appender(out));
   }
 
  private:
@@ -1572,21 +1556,6 @@ class LeapListCOP : public LeapListBase {
       if (valid) return result;
     }
   }
-
-  /// Range visitation via bundled references (see LeapListLT::for_range
-  /// — the as-of walk is policy-independent): pin a timestamp, walk as
-  /// of it. COP's historical validate-at-commit scan is subsumed; the
-  /// consistency-oblivious discipline lives on in the update paths.
-  template <typename F>
-  std::size_t for_range(Key low, Key high, F&& fn) const {
-    return for_range_asof(low, high, fn);
-  }
-
-  /// Legacy bulk form: REPLACES `out` (clears, then collects).
-  std::size_t range_query(Key low, Key high, std::vector<KV>& out) const {
-    out.clear();
-    return for_range(low, high, detail::Appender(out));
-  }
 };
 
 /// Leap-tm (paper §2.3): every operation, traversal included, runs as
@@ -1646,9 +1615,9 @@ class LeapListTM : public LeapListBase {
   }
 
   /// Composable range visitation: enlists in the caller's open
-  /// transaction. Like the enclosing leap::txn closure, the visitor may
-  /// be re-invoked (after visit_restart) when the attempt conflicts or
-  /// the hybrid walk falls back to the instrumented search.
+  /// transaction and delivers each pair once, never calling
+  /// on_restart. A conflict re-runs the enclosing leap::txn closure,
+  /// which owns resetting whatever the visitor accumulated.
   template <typename F>
   std::size_t for_range_in(stm::Tx& tx, Key low, Key high, F&& fn) const {
     return txn_for_range(tx, low, high, fn, TxSearch::kHybrid);
@@ -1681,9 +1650,12 @@ class LeapListTM : public LeapListBase {
     });
   }
 
+  /// The paper's fully instrumented scan as one transaction, which
+  /// retries whole: on_restart fires before each attempt.
   template <typename F>
   std::size_t for_range(Key low, Key high, F&& fn) const {
     return leap::txn([&](stm::Tx& tx) {
+      detail::visit_restart(fn);
       return txn_for_range(tx, low, high, fn, TxSearch::kInstrumented);
     });
   }
@@ -1744,19 +1716,6 @@ class LeapListRW : public LeapListBase {
     const int idx = find_in(n, key);
     if (idx < 0) return std::nullopt;
     return n->values()[idx];
-  }
-
-  /// Range visitation via bundled references: lock-free for readers —
-  /// the scan pins a timestamp and never takes the rwlock at all.
-  template <typename F>
-  std::size_t for_range(Key low, Key high, F&& fn) const {
-    return for_range_asof(low, high, fn);
-  }
-
-  /// Legacy bulk form: REPLACES `out` (clears, then collects).
-  std::size_t range_query(Key low, Key high, std::vector<KV>& out) const {
-    out.clear();
-    return for_range(low, high, detail::Appender(out));
   }
 
  private:

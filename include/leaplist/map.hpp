@@ -24,11 +24,14 @@
 //   });
 //   for (const auto& [id, o] : book.snapshot(low, high)) ...  // Cursor
 //
-// Visitor contract: optimistic policies may re-visit from `low` after a
-// conflicting attempt, so a visitor that ACCUMULATES must expose
+// Visitor contract: a single-op scan may re-visit from `low` (TM's
+// transaction retries whole; the bundled walk re-pins when history it
+// needs was pruned), so a visitor that ACCUMULATES must expose
 // `on_restart()` to roll its state back — leap::append_to does;
 // overwrite-style or stateless visitors (like the early-exit probe
-// above) need nothing. The committed visitation is always one
+// above) need nothing. The composable `*_in` forms never call
+// on_restart: a conflict re-runs the enclosing leap::txn closure, which
+// resets what it accumulated. The committed visitation is always one
 // consistent snapshot for the leap-list policies.
 #pragma once
 
@@ -203,7 +206,7 @@ class Map {
   // these; a false return means the bundle history needed at `ts` is
   // gone and the WHOLE stitched walk restarts with a fresh pin — no
   // per-shard restart happens here, which is what lets the stitcher
-  // deliver straight into the caller's visitor without staging.
+  // deliver straight into the caller's visitor.
 
   /// Visit [low, high] as of the pinned timestamp `ts`, delivering into
   /// `fn` and accumulating into `delivered`. Sets `stopped` when the
@@ -308,10 +311,9 @@ class Map {
   }
 
   /// Composable bounded scan: like scan, but enlisted in the caller's
-  /// open transaction. The append base is captured per call, so an
-  /// in-transaction restart of this visitation rolls back exactly this
-  /// call's contribution (a whole-transaction retry is the caller's
-  /// closure contract, as for every `*_in` form).
+  /// open transaction. It appends each pair once and never rolls `out`
+  /// back; a whole-transaction retry is the caller's closure contract,
+  /// as for every `*_in` form.
   std::size_t scan_in(stm::Tx& tx, const K& low, std::size_t limit,
                       std::vector<value_type>& out) const
     requires(Policy::kComposable)

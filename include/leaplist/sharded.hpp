@@ -24,12 +24,11 @@
 //
 //   policy::TM   the whole stitched scan runs inside ONE leap::txn —
 //                the multi-shard snapshot is linearizable (the paper's
-//                multi-list atomicity applied to partitions). The
-//                transaction may retry; the caller's visitor is rolled
-//                back via its on_restart() hook (leap::append_to has
-//                one), exactly the Map visitor contract. Each shard
-//                segment is staged against in-transaction restarts and
-//                replayed once final.
+//                multi-list atomicity applied to partitions). Each
+//                shard delivers straight into the caller's visitor.
+//                The transaction may retry whole; the visitor is
+//                rolled back via its on_restart() hook (leap::append_to
+//                has one), exactly the Map visitor contract.
 //   others       bundled references (leaplist/bundle.hpp): the scan
 //                pins ONE global timestamp and walks every covered
 //                shard as of that instant, so the stitched result is a
@@ -37,6 +36,9 @@
 //                on the STM — the scan linearizes at its clock read.
 //                Restarts (pruned history) re-pin and rerun the whole
 //                stitched walk through the visitor's on_restart hook.
+//
+// Shards are leap lists. The skip-list baselines keep no bundled
+// references and stay unsharded.
 //
 // For policy::TM the composable `*_in` forms route inside the caller's
 // open transaction, so multi-key operations spanning shards — and whole
@@ -54,6 +56,7 @@
 
 #include <bit>
 #include <cassert>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -84,6 +87,11 @@ template <typename K, typename V, MapPolicy Policy = policy::LT,
   requires codec::KeyCodecFor<KeyCodec, K> &&
            codec::ValueCodecFor<ValueCodec, V>
 class ShardedMap {
+  static_assert(
+      std::derived_from<typename Policy::engine, core::LeapListBase>,
+      "ShardedMap shards leap lists only: its non-TM scans walk bundled "
+      "references, which the skip-list baselines do not keep");
+
  public:
   using key_type = K;
   using mapped_type = V;
@@ -101,12 +109,6 @@ class ShardedMap {
   /// Sane ceiling: routing is O(1) at any count, but stitched range
   /// queries and debug sweeps walk every shard in the span.
   static constexpr std::size_t kMaxShards = 4096;
-
-  /// True when the engine maintains bundled references (every leap-list
-  /// policy). Skip-list baselines don't; their non-TM stitched scans
-  /// fall back to per-shard-consistent staging.
-  static constexpr bool kBundled =
-      requires(const typename Policy::engine& e) { e.debug_max_bundle(); };
 
   /// Full-window construction: keys may land anywhere in the codec's
   /// encodable range. Fine for correctness at any distribution, but a
@@ -151,46 +153,24 @@ class ShardedMap {
   template <typename F>
   std::size_t for_range(const K& low, const K& high, F&& fn) const {
     if constexpr (Policy::kComposable) {
-      const core::Key low_word = KeyCodec::encode(low);
-      const core::Key high_word = KeyCodec::encode(high);
-      if (low_word > high_word) return 0;
-      const std::size_t first = route(low_word);
-      const std::size_t last = route(high_word);
       return leap::txn([&](stm::Tx& tx) {
         core::detail::visit_restart(fn);  // per-attempt rollback
-        return stitch_in(tx, first, last, low, high, fn);
+        return for_range_in(tx, low, high, fn);
       });
-    } else if constexpr (kBundled) {
-      return for_range_bundled(low, high, fn);
     } else {
-      // Skip-list baselines: per-shard staging+replay, per-shard
-      // consistent only (the documented pre-bundling semantics).
-      const core::Key low_word = KeyCodec::encode(low);
-      const core::Key high_word = KeyCodec::encode(high);
-      if (low_word > high_word) return 0;
-      Staging stage;
-      std::size_t delivered = 0;
-      for (std::size_t s = route(low_word); s <= route(high_word); ++s) {
-        stage.clear();
-        StageVisitor sink{stage};
-        shards_[s]->for_range(low, high, sink);
-        if (!replay(stage, fn, delivered)) break;
-      }
-      return delivered;
+      return for_range_bundled(low, high, fn);
     }
   }
 
-  /// The bundled-reference stitched walk, available on EVERY bundled
-  /// policy (TM updates maintain bundles too): pin one timestamp,
-  /// deliver each covered shard's as-of visitation straight into `fn`,
-  /// and restart the whole walk with a fresh pin if any shard's history
-  /// at that timestamp was already pruned. This is the non-TM for_range
-  /// path, and on policy::TM it is the STM-free alternative the
-  /// abl_rqspan crossover measures against transactional stitching.
+  /// The bundled-reference stitched walk, available on every policy
+  /// (TM updates maintain bundles too): pin one timestamp, deliver each
+  /// covered shard's as-of visitation straight into `fn`, and restart
+  /// the whole walk with a fresh pin if any shard's history at that
+  /// timestamp was already pruned. This is the non-TM for_range path,
+  /// and on policy::TM it is the STM-free alternative the abl_rqspan
+  /// crossover measures against transactional stitching.
   template <typename F>
-  std::size_t for_range_bundled(const K& low, const K& high, F&& fn) const
-    requires(kBundled)
-  {
+  std::size_t for_range_bundled(const K& low, const K& high, F&& fn) const {
     const core::Key low_word = KeyCodec::encode(low);
     const core::Key high_word = KeyCodec::encode(high);
     if (low_word > high_word) return 0;
@@ -221,13 +201,13 @@ class ShardedMap {
                    std::vector<value_type>& out) const {
     if (limit == 0) return 0;
     const std::size_t base = out.size();
-    const std::size_t first = route(KeyCodec::encode(low));
     if constexpr (Policy::kComposable) {
       leap::txn([&](stm::Tx& tx) {
         out.resize(base);  // the closure may re-run after a conflict
-        scan_shards_in(tx, first, low, limit, base, out);
+        scan_in(tx, low, limit, out);
       });
-    } else if constexpr (kBundled) {
+    } else {
+      const std::size_t first = route(KeyCodec::encode(low));
       bundle::ScanPin pin;
       while (true) {
         out.resize(base);  // rerun after a pruned-history restart
@@ -245,12 +225,6 @@ class ShardedMap {
         }
         if (ok) break;
         pin.refresh();
-      }
-    } else {
-      for (std::size_t s = first; s < shards_.size(); ++s) {
-        const std::size_t got = out.size() - base;
-        if (got >= limit) break;
-        shards_[s]->scan(low, limit - got, out);
       }
     }
     return out.size() - base;
@@ -309,6 +283,10 @@ class ShardedMap {
         });
   }
 
+  /// The stitched walk inside the caller's open transaction: shards in
+  /// key order, each delivering straight into `fn`, ending at the shard
+  /// where `fn` stopped. Like every composable form it never calls
+  /// on_restart.
   template <typename F>
   std::size_t for_range_in(stm::Tx& tx, const K& low, const K& high,
                            F&& fn) const
@@ -317,16 +295,24 @@ class ShardedMap {
     const core::Key low_word = KeyCodec::encode(low);
     const core::Key high_word = KeyCodec::encode(high);
     if (low_word > high_word) return 0;
-    return stitch_in(tx, route(low_word), route(high_word), low, high, fn);
+    const std::size_t last = route(high_word);
+    Relay<F> relay{fn};
+    std::size_t delivered = 0;
+    for (std::size_t s = route(low_word); s <= last && !relay.stopped; ++s) {
+      delivered += shards_[s]->for_range_in(tx, low, high, relay);
+    }
+    return delivered;
   }
 
   std::size_t scan_in(stm::Tx& tx, const K& low, std::size_t limit,
                       std::vector<value_type>& out) const
     requires(Policy::kComposable)
   {
-    if (limit == 0) return 0;
     const std::size_t base = out.size();
-    scan_shards_in(tx, route(KeyCodec::encode(low)), low, limit, base, out);
+    for (std::size_t s = route(KeyCodec::encode(low));
+         s < shards_.size() && out.size() - base < limit; ++s) {
+      shards_[s]->scan_in(tx, low, limit - (out.size() - base), out);
+    }
     return out.size() - base;
   }
 
@@ -449,87 +435,25 @@ class ShardedMap {
         64);
   }
 
-  /// Per-shard staging: a shard's segment lands here while that shard's
-  /// attempt may still restart (on_restart clears it), and is replayed
-  /// into the user's visitor only once the segment is final. This is
-  /// what keeps one shard's optimistic retry from wiping the pairs an
-  /// earlier shard already delivered.
-  struct Staging {
-    std::vector<K> keys;
-    std::vector<V> values;
-    void clear() {
-      keys.clear();
-      values.clear();
-    }
-  };
-
-  struct StageVisitor {
-    Staging& stage;
-    void operator()(const K& key, const V& value) {
-      stage.keys.push_back(key);
-      stage.values.push_back(value);
-    }
-    void append_run(const K* keys, const V* values, std::size_t n) {
-      stage.keys.insert(stage.keys.end(), keys, keys + n);
-      stage.values.insert(stage.values.end(), values, values + n);
-    }
-    void on_restart() { stage.clear(); }
-  };
-
-  /// Deliver a committed shard segment to the user's visitor. Bulk
-  /// visitors take the whole SoA slice in one call; either kind may
-  /// stop the stitched scan early (false return).
+  /// Forwards a shard's pairs to the caller's visitor and records
+  /// whether the visitor stopped the scan, so the stitch ends there.
   template <typename F>
-  static bool replay(Staging& stage, F& fn, std::size_t& delivered) {
-    const std::size_t n = stage.keys.size();
-    if constexpr (requires(F& f, const K* dk, const V* dv, std::size_t m) {
-                    f.append_run(dk, dv, m);
-                  }) {
-      delivered += n;
-      return core::detail::visit_run(fn, stage.keys.data(),
-                                     stage.values.data(), n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        ++delivered;
-        if (!core::detail::visit_one(fn, stage.keys[i], stage.values[i])) {
-          return false;
-        }
+  struct Relay {
+    F& fn;
+    bool stopped = false;
+    bool operator()(const K& key, const V& value) {
+      stopped = !core::detail::visit_one(fn, key, value);
+      return !stopped;
+    }
+    bool append_run(const K* keys, const V* values, std::size_t n)
+      requires requires(F& f, const K* dk, const V* dv, std::size_t m) {
+        f.append_run(dk, dv, m);
       }
-      return true;
+    {
+      stopped = !core::detail::visit_run(fn, keys, values, n);
+      return !stopped;
     }
-  }
-
-  /// The stitched walk inside an open transaction: shards in key order,
-  /// each segment staged against that shard's in-transaction restarts
-  /// (the hybrid-search fallback), then replayed. A whole-transaction
-  /// retry is the enclosing closure's contract.
-  template <typename F>
-  std::size_t stitch_in(stm::Tx& tx, std::size_t first, std::size_t last,
-                        const K& low, const K& high, F& fn) const
-    requires(Policy::kComposable)
-  {
-    Staging stage;
-    std::size_t delivered = 0;
-    for (std::size_t s = first; s <= last; ++s) {
-      stage.clear();
-      StageVisitor sink{stage};
-      shards_[s]->for_range_in(tx, low, high, sink);
-      if (!replay(stage, fn, delivered)) break;
-    }
-    return delivered;
-  }
-
-  void scan_shards_in(stm::Tx& tx, std::size_t first, const K& low,
-                      std::size_t limit, std::size_t base,
-                      std::vector<value_type>& out) const
-    requires(Policy::kComposable)
-  {
-    for (std::size_t s = first; s < shards_.size(); ++s) {
-      const std::size_t got = out.size() - base;
-      if (got >= limit) break;
-      shards_[s]->scan_in(tx, low, limit - got, out);
-    }
-  }
+  };
 
   std::uint64_t lo_;    // biased image of the window's low edge
   std::uint64_t span_;  // biased(hi) - biased(lo)

@@ -61,13 +61,12 @@
 namespace leap::store {
 
 enum class FsyncMode {
-  kAlways,  // every log_batch fdatasyncs its dirty shards before ack
-  kGroup,   // leader-follower: concurrent batches share one fdatasync
-  kOff,     // buffered append only; the background flusher writes the
-            // bytes out, the OS decides when they reach the disk
+  kGroup,  // leader-follower: concurrent batches share one fdatasync
+  kOff,    // buffered append only; the background flusher writes the
+           // bytes out, the OS decides when they reach the disk
 };
 
-/// Parse "always" / "group" / "off" (leapd's --fsync-mode values).
+/// Parse "group" / "off" (leapd's --fsync-mode values).
 std::optional<FsyncMode> parse_fsync_mode(const std::string& text);
 const char* fsync_mode_name(FsyncMode mode);
 

@@ -581,11 +581,18 @@ inline void backoff(unsigned attempt) {
 
 inline constexpr unsigned kMaxOptimisticAttempts = 64;
 
+/// Checked builds abort a transaction whose irrevocable attempt failed
+/// this many times in a row: its closure aborts on every attempt, even
+/// with all commits quiesced, so retrying can only spin.
+inline constexpr unsigned kMaxFailedIrrevocable = 64;
+
 }  // namespace detail
 
 /// Run `fn(tx)` as an atomic transaction, retrying on conflict; after
 /// kMaxOptimisticAttempts aborts, runs irrevocably under the global
 /// commit gate (guaranteed to commit barring an explicit user abort).
+/// A closure that aborts every irrevocable attempt retries forever in
+/// Release; checked builds abort after kMaxFailedIrrevocable of them.
 ///
 /// Re-entry is flat-nested: when `tx` is already active (an enclosing
 /// atomically owns it), the closure simply enlists in the enclosing
@@ -601,7 +608,16 @@ void atomically(Tx& tx, Fn&& fn) {
     fn(tx);
     return;
   }
-  while (true) {
+  for (unsigned failed_irrevocable = 0;; ++failed_irrevocable) {
+    if constexpr (kChecks) {
+      if (failed_irrevocable == detail::kMaxFailedIrrevocable) {
+        std::fprintf(stderr,
+                     "stm: transaction failed %u irrevocable attempts in "
+                     "a row; its closure aborts on every attempt\n",
+                     failed_irrevocable);
+        std::abort();
+      }
+    }
     for (unsigned attempt = 0; attempt < detail::kMaxOptimisticAttempts;
          ++attempt) {
       tx.begin(false);

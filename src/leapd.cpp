@@ -4,7 +4,7 @@
 //         [--node-size N] [--batch N]
 //         [--max-queue N] [--max-global N] [--accept-pause N]
 //         [--accept-backoff-ms N] [--stats-interval SECS]
-//         [--data-dir PATH] [--fsync-mode always|group|off]
+//         [--data-dir PATH] [--fsync-mode group|off]
 //         [--checkpoint-bytes N] [--fault-spec point:nth:kind[:sticky]]
 //
 // Flags are parsed strictly: an unknown flag, a missing value, or a
@@ -70,7 +70,7 @@ void usage(const char* argv0) {
       "          [--node-size N] [--batch N]\n"
       "          [--max-queue N] [--max-global N] [--accept-pause N]\n"
       "          [--accept-backoff-ms N] [--stats-interval SECS]\n"
-      "          [--data-dir PATH] [--fsync-mode always|group|off]\n"
+      "          [--data-dir PATH] [--fsync-mode group|off]\n"
       "          [--checkpoint-bytes N]\n"
       "          [--fault-spec point:nth:kind[:sticky]]\n",
       argv0);
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   }
   const auto fsync_mode = leap::store::parse_fsync_mode(fsync_mode_text);
   if (!fsync_mode) {
-    std::fprintf(stderr, "leapd: bad --fsync-mode '%s' (always|group|off)\n",
+    std::fprintf(stderr, "leapd: bad --fsync-mode '%s' (group|off)\n",
                  fsync_mode_text.c_str());
     args.ok = false;
   }

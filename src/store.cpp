@@ -553,21 +553,13 @@ bool RunWriter::finish(std::string* err) {
 // --- Store ------------------------------------------------------------
 
 std::optional<FsyncMode> parse_fsync_mode(const std::string& text) {
-  if (text == "always") return FsyncMode::kAlways;
   if (text == "group") return FsyncMode::kGroup;
   if (text == "off") return FsyncMode::kOff;
   return std::nullopt;
 }
 
 const char* fsync_mode_name(FsyncMode mode) {
-  switch (mode) {
-    case FsyncMode::kAlways:
-      return "always";
-    case FsyncMode::kGroup:
-      return "group";
-    default:
-      return "off";
-  }
+  return mode == FsyncMode::kGroup ? "group" : "off";
 }
 
 struct Store::ShardState {
@@ -881,7 +873,6 @@ bool Store::wait_durable(
     // them. The appends above landed on healthy segments, so ack.
     return true;
   }
-  const bool group = opts_.fsync_mode == FsyncMode::kGroup;
   bool ok = true;
   // Sync everything this shard has appended; caller holds fsync_mu.
   // False = this shard can no longer make the batch durable.
@@ -896,25 +887,11 @@ bool Store::wait_durable(
       return false;
     }
     wal_fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    if (group) {
-      wal_group_ops_.fetch_add(ops_now - sh.synced_ops,
-                               std::memory_order_relaxed);
-    }
+    wal_group_ops_.fetch_add(ops_now - sh.synced_ops,
+                             std::memory_order_relaxed);
     sh.synced_ops = ops_now;
     return true;
   };
-  if (!group) {  // kAlways: one unshared fdatasync per shard touched
-    for (const auto& [s, end] : targets) {
-      ShardState& sh = *shards_[s];
-      std::lock_guard<std::mutex> fs(sh.fsync_mu);
-      // A previous holder (rotation's final sync, or close) may have
-      // already made our bytes durable; durable() is truthful, so
-      // trust it before leading a sync of our own.
-      if (sh.wal.durable() >= end) continue;
-      if (!lead_sync(s, sh)) ok = false;
-    }
-    return ok;
-  }
   // Leader-follower group commit. Blocking on fsync_mu IS the wait:
   // the current holder is fdatasyncing every byte appended before it
   // sampled the log. On entry we re-check durable(); if a previous

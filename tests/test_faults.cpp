@@ -11,8 +11,8 @@
 //     count its matching syscalls (N), then re-run once per fault
 //     index k = 1..N with a sticky fault armed at call k — after every
 //     single run, recovery on the real Io must show every acked write
-//     present (always/group), every failed write absent, and no torn
-//     state, across all three fsync modes and two fault kinds;
+//     present (group), every failed write absent, and no torn state,
+//     across both fsync modes and two fault kinds;
 //   * mid-life run corruption: a bit flipped inside a checkpointed
 //     run's first block is a counted read error (corrupt_blocks) that
 //     degrades the block to "absent here" — never a wrong answer, and
@@ -100,7 +100,7 @@ void test_fsync_failure_never_acks() {
   MapType map({.shards = 1});
   store::StoreOptions opts;
   opts.data_dir = dir;
-  opts.fsync_mode = store::FsyncMode::kAlways;
+  opts.fsync_mode = store::FsyncMode::kGroup;
   opts.flush_poll_ms = 0;
   opts.io = &fio;
   {
@@ -217,7 +217,7 @@ void run_workload(store::Store& st, MapType& map, BatteryLog& log) {
 }
 
 /// Recover `dir` on the real Io and hold the recovered state against
-/// the battery log. always/group: exact oracle equality — every acked
+/// the battery log. group: exact oracle equality — every acked
 /// write present with its acked value, everything else absent. kOff
 /// acks on append (durability is best-effort by contract), so the
 /// strong direction is weakened to: nothing un-acked ever surfaces,
@@ -256,7 +256,6 @@ void test_torture_battery() {
     const char* name;
     store::FsyncMode mode;
   } modes[] = {
-      {"always", store::FsyncMode::kAlways},
       {"group", store::FsyncMode::kGroup},
       {"off", store::FsyncMode::kOff},
   };
@@ -386,7 +385,7 @@ void test_wire_store_failed() {
     sopts.workers = 1;
     sopts.shards = 1;
     sopts.data_dir = dir;
-    sopts.fsync_mode = store::FsyncMode::kAlways;
+    sopts.fsync_mode = store::FsyncMode::kGroup;
     sopts.store_io = &fio;
     net::Server server(sopts);
     std::string err;
@@ -439,7 +438,7 @@ void test_wire_store_failed() {
     sopts.workers = 1;
     sopts.shards = 1;
     sopts.data_dir = dir;
-    sopts.fsync_mode = store::FsyncMode::kAlways;
+    sopts.fsync_mode = store::FsyncMode::kGroup;
     net::Server server(sopts);
     std::string err;
     CHECK(server.start(&err));

@@ -4,7 +4,7 @@
 // loopback TCP, SIGKILLs the child mid-life, restarts a server over
 // the same directory in-process, and verifies every acknowledged write
 // against a client-side std::map oracle — point gets AND a full scan.
-// Scenarios cover fsync always and group, a crash with checkpoint
+// Scenarios cover fsync group at two crash points, a crash with checkpoint
 // flushes already on disk (tiny --checkpoint-bytes), and a double
 // crash (crash → recover → write more → crash again).
 //
@@ -216,10 +216,10 @@ void test_double_crash() {
 }  // namespace
 
 int main() {
-  // WAL-only crash (checkpoint threshold never reached), both acking
-  // fsync modes.
-  run_crash_cycle(store::FsyncMode::kAlways, 4u << 20, 200,
-                  "recovery kill9 fsync=always");
+  // WAL-only crashes (checkpoint threshold never reached) at two
+  // points, in the acking fsync mode.
+  run_crash_cycle(store::FsyncMode::kGroup, 4u << 20, 200,
+                  "recovery kill9 fsync=group, 200 writes");
   run_crash_cycle(store::FsyncMode::kGroup, 4u << 20, 400,
                   "recovery kill9 fsync=group");
   // Tiny checkpoint bar: the crash lands on run files + a live WAL.

@@ -1,4 +1,4 @@
-// Sharded-map battery: OrderedMap conformance for every policy,
+// Sharded-map battery: OrderedMap conformance for every leap-list policy,
 // codec-order routing properties (monotone, clamped, all shards
 // reachable), partition-boundary fuzz against std::map (keys adjacent
 // to split points, plus keys outside the hint window), stitched range
@@ -21,7 +21,6 @@
 #include "leaplist/codec.hpp"
 #include "leaplist/map.hpp"
 #include "leaplist/sharded.hpp"
-#include "leaplist/skiplist.hpp"
 #include "leaplist/txn.hpp"
 #include "test_common.hpp"
 #include "util/random.hpp"
@@ -43,8 +42,6 @@ static_assert(leap::OrderedMap<I64Sharded<policy::LT>>);
 static_assert(leap::OrderedMap<I64Sharded<policy::COP>>);
 static_assert(leap::OrderedMap<I64Sharded<policy::TM>>);
 static_assert(leap::OrderedMap<I64Sharded<policy::RW>>);
-static_assert(leap::OrderedMap<I64Sharded<policy::SkipCAS>>);
-static_assert(leap::OrderedMap<I64Sharded<policy::SkipTM>>);
 static_assert(
     leap::OrderedMap<leap::ShardedMap<std::uint32_t, double, policy::LT>>);
 
@@ -57,7 +54,6 @@ constexpr bool kHasComposable = requires(M m, leap::stm::Tx& tx) {
 };
 static_assert(kHasComposable<I64Sharded<policy::TM>>);
 static_assert(!kHasComposable<I64Sharded<policy::LT>>);
-static_assert(!kHasComposable<I64Sharded<policy::SkipCAS>>);
 static_assert(I64Sharded<policy::LT>::kSharded);
 
 // --- Routing properties ----------------------------------------------
@@ -213,13 +209,8 @@ void test_boundary_fuzz(const char* name) {
       if (appended < limit) CHECK(it == reference.end());
     }
   }
-  // Skip-list shards don't expose quiescent introspection.
-  if constexpr (requires { map.size_slow(); }) {
-    CHECK_EQ(map.size_slow(), reference.size());
-  }
-  if constexpr (requires { map.debug_validate(); }) {
-    CHECK(map.debug_validate());
-  }
+  CHECK_EQ(map.size_slow(), reference.size());
+  CHECK(map.debug_validate());
 
   // Early exit across a shard boundary: the three smallest keys of a
   // window spanning the whole map, regardless of which shards they
@@ -313,7 +304,11 @@ void test_composition() {
 // earlier puts and erases (the has_write fallback to the instrumented
 // search), keys in every shard and past both window edges, and runs
 // longer than one interleaved group, while node_size 4 keeps splitting
-// and merging nodes under it.
+// and merging nodes under it. Range reads (for_range_in, and scan_in
+// with a limit) ride along: each window starts at or just past a node
+// the burst rewrote and runs over further written keys, so the walk's
+// start link and links mid-range are the transaction's own writes. Their
+// visitors have no on_restart: a composable scan delivers each pair once.
 
 template <typename M>
 void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
@@ -326,20 +321,36 @@ void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
                static_cast<std::uint64_t>(hi - lo) + 41));
   };
   struct Op {
-    int kind;  // 0 put, 1 erase, 2 get
-    std::int32_t key;
-    std::int64_t value;
+    int kind;            // 0 put, 1 erase, 2 get, 3 range read
+    std::int32_t key;    // a range read's low bound
+    std::int64_t value;  // a range read's high bound
+    std::size_t limit;   // a range read's scan_in limit; 0: for_range_in
   };
   std::vector<Op> ops;
   std::vector<std::int32_t> keys;
   std::vector<std::optional<std::int64_t>> got;
+  std::vector<std::pair<std::int32_t, std::int64_t>> seen;
   std::size_t gets = 0;
+  std::size_t ranges = 0;
   for (int burst = 0; burst < 1500; ++burst) {
     ops.clear();
     std::vector<std::int32_t> written;
     const int runs = 1 + static_cast<int>(rng.next_below(6));
     for (int r = 0; r < runs; ++r) {
-      const int kind = static_cast<int>(rng.next_below(3));
+      const int kind = static_cast<int>(rng.next_below(4));
+      if (kind == 3) {
+        if (written.empty()) continue;
+        const std::int32_t a = written[rng.next_below(written.size())];
+        const std::int32_t b = written[rng.next_below(written.size())];
+        const std::int32_t low =
+            std::min(a, b) + static_cast<std::int32_t>(rng.next_below(7)) - 3;
+        const std::int32_t high =
+            std::max(a, b) + static_cast<std::int32_t>(rng.next_below(8));
+        const std::size_t limit =
+            (rng.next() & 1) != 0 ? 1 + rng.next_below(40) : 0;
+        ops.push_back({3, low, std::max(low, high), limit});
+        continue;
+      }
       // Write runs stay short; get runs sometimes outgrow one group.
       const std::uint64_t len =
           kind == 2 ? 1 + rng.next_below(rng.next_below(4) == 0 ? 40 : 12)
@@ -353,7 +364,7 @@ void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
                 static_cast<std::int32_t>(rng.next_below(3)) - 1;
         }
         if (kind != 2) written.push_back(key);
-        ops.push_back({kind, key, static_cast<std::int64_t>(rng.next())});
+        ops.push_back({kind, key, static_cast<std::int64_t>(rng.next()), 0});
       }
     }
     std::map<std::int32_t, std::int64_t> after;
@@ -370,6 +381,33 @@ void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
         }
         if (op.kind == 1) {
           CHECK_EQ(map.erase_in(tx, op.key), after.erase(op.key) > 0);
+          ++i;
+          continue;
+        }
+        if (op.kind == 3) {
+          seen.clear();
+          if (op.limit == 0) {
+            const auto high = static_cast<std::int32_t>(op.value);
+            const std::size_t visited = map.for_range_in(
+                tx, op.key, high, [&](std::int32_t k, std::int64_t v) {
+                  seen.push_back({k, v});
+                });
+            CHECK_EQ(visited, seen.size());
+          } else {
+            CHECK_EQ(map.scan_in(tx, op.key, op.limit, seen), seen.size());
+          }
+          auto it = after.lower_bound(op.key);
+          for (const auto& [k, v] : seen) {
+            CHECK(it != after.end());
+            CHECK_EQ(k, it->first);
+            CHECK_EQ(v, it->second);
+            ++it;
+          }
+          if (op.limit == 0) {
+            CHECK(it == after.end() || it->first > op.value);
+          } else {
+            CHECK(seen.size() == op.limit || it == after.end());
+          }
           ++i;
           continue;
         }
@@ -390,6 +428,8 @@ void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
     reference = std::move(after);
     gets += std::count_if(ops.begin(), ops.end(),
                           [](const Op& op) { return op.kind == 2; });
+    ranges += std::count_if(ops.begin(), ops.end(),
+                            [](const Op& op) { return op.kind == 3; });
   }
   CHECK(map.debug_validate());
   CHECK_EQ(map.size_slow(), reference.size());
@@ -406,6 +446,7 @@ void run_batched_get_fuzz(M& map, std::int32_t lo, std::int32_t hi,
     if (got[j]) CHECK_EQ(*got[j], it->second);
   }
   CHECK(gets > 10000);
+  CHECK(ranges > 500);
 }
 
 void test_batched_get_fuzz() {
@@ -575,7 +616,6 @@ int main() {
   test_boundary_fuzz<policy::LT>("LT");
   test_boundary_fuzz<policy::COP>("COP");
   test_boundary_fuzz<policy::TM>("TM");
-  test_boundary_fuzz<policy::SkipCAS>("SkipCAS");
   test_composition();
   test_batched_get_fuzz();
   test_cross_shard_atomicity_stress();

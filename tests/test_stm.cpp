@@ -221,6 +221,24 @@ void test_unread_write_guard() {
   }
 }
 
+void test_endless_abort_guard() {
+  // A closure that aborts on every attempt, the irrevocable ones
+  // included, would retry forever; checked builds bound the irrevocable
+  // attempts and abort instead. A child process runs one.
+  if constexpr (kChecks) {
+    const pid_t child = ::fork();
+    CHECK(child >= 0);
+    if (child == 0) {
+      (void)std::freopen("/dev/null", "w", stderr);
+      atomically(tls_tx(), [](Tx& t) { t.abort(); });
+      std::_Exit(0);
+    }
+    int status = 0;
+    CHECK_EQ(::waitpid(child, &status, 0), child);
+    CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -233,5 +251,6 @@ int main() {
   test_deferred_actions();
   test_flat_nesting();
   test_unread_write_guard();
+  test_endless_abort_guard();
   return leap::test::finish("test_stm");
 }
