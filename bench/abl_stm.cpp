@@ -7,18 +7,27 @@
 //     (what COP/tm traversals pay),
 //   * a single-location read transaction (the rejected alternative of
 //     §2.1: "proved to have a larger negative impact on performance"),
-//   * tx writes + commit (the write-set cost COP pays for node content).
-#include <benchmark/benchmark.h>
-
+//   * tx writes + commit (the write-set cost COP pays for node content),
+//   * write-set membership probes at growing widths,
+//   * raw atomic write.
+//
+// Each case calls its body in a timed loop for the measurement window
+// and reports ns per call and shared-word accesses per second.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <string>
 #include <vector>
 
+#include "harness/table.hpp"
+#include "harness/workload.hpp"
 #include "stm/stm.hpp"
 
 namespace {
 
 using namespace leap::stm;
+using leap::harness::Table;
 
 constexpr std::size_t kWords = 1024;
 
@@ -27,104 +36,114 @@ std::vector<TxField<std::uint64_t>>& shared_words() {
   return words;
 }
 
-void BM_RawRead(benchmark::State& state) {
-  auto& words = shared_words();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(words[i++ & (kWords - 1)].load());
-  }
+/// Keeps a computed value alive without a store the compiler could drop.
+void keep(std::uint64_t value) {
+  asm volatile("" : : "r,m"(value) : "memory");
 }
-BENCHMARK(BM_RawRead);
 
-void BM_TxReadAmortized(benchmark::State& state) {
-  auto& words = shared_words();
-  Tx& tx = tls_tx();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    atomically(tx, [&](Tx& t) {
-      for (std::size_t k = 0; k < 256; ++k) {
-        benchmark::DoNotOptimize(words[i++ & (kWords - 1)].tx_read(t));
-      }
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
+/// Calls `body` in batches until `window` elapses; each call makes
+/// `items` shared-word accesses. One table row: ns per call, items/s.
+template <typename Body>
+void time_case(Table& table, const std::string& name,
+               std::chrono::milliseconds window, std::size_t items,
+               Body&& body) {
+  std::uint64_t calls = 0;
+  const auto start = std::chrono::steady_clock::now();
+  auto now = start;
+  do {
+    for (int i = 0; i < 64; ++i) body();
+    calls += 64;
+    now = std::chrono::steady_clock::now();
+  } while (now < start + window);
+  const double seconds = std::chrono::duration<double>(now - start).count();
+  char ns[32];
+  std::snprintf(ns, sizeof(ns), "%.1f",
+                seconds * 1e9 / static_cast<double>(calls));
+  table.add_row({name, ns,
+                 Table::format_ops(static_cast<double>(calls * items) /
+                                   seconds)});
 }
-BENCHMARK(BM_TxReadAmortized);
-
-void BM_SingleLocationReadTxn(benchmark::State& state) {
-  auto& words = shared_words();
-  Tx& tx = tls_tx();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    atomically(tx, [&](Tx& t) {
-      benchmark::DoNotOptimize(words[i++ & (kWords - 1)].tx_read(t));
-    });
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SingleLocationReadTxn);
-
-void BM_TxWriteCommit(benchmark::State& state) {
-  auto& words = shared_words();
-  Tx& tx = tls_tx();
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    atomically(tx, [&](Tx& t) {
-      for (std::size_t k = 0; k < batch; ++k) {
-        words[i++ & (kWords - 1)].tx_write_blind(t, i);
-      }
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-// 16 ~ an LT locking transaction; 600 ~ a COP 300-pair node construction.
-BENCHMARK(BM_TxWriteCommit)->Arg(16)->Arg(600);
-
-// Write-set membership and read-your-writes at width W (Arg): the
-// open-addressing stamp/index behind Tx::has_write, which composable
-// typed-map ops probe once per level per operation — a linear scan
-// here goes quadratic for wide multi-op transactions. The loop
-// micro-asserts membership (present hits, absent misses) so an index
-// regression fails the smoke run loudly instead of just slowly.
-void BM_WriteSetProbe(benchmark::State& state) {
-  auto& words = shared_words();
-  Tx& tx = tls_tx();
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::uint64_t bad = 0;
-  for (auto _ : state) {
-    atomically(tx, [&](Tx& t) {
-      for (std::size_t k = 0; k < width; ++k) {
-        words[k].tx_write_blind(t, k);
-      }
-      for (std::size_t k = 0; k < width; ++k) {
-        if (!t.has_write(words[k])) ++bad;
-        benchmark::DoNotOptimize(words[k].tx_read(t));  // read-your-writes
-      }
-      if (t.has_write(words[width])) ++bad;  // never written this txn
-    });
-  }
-  if (bad != 0) {
-    std::fprintf(stderr, "BM_WriteSetProbe: %llu membership errors\n",
-                 static_cast<unsigned long long>(bad));
-    std::abort();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * width));
-}
-// 16 ~ one leap-list update's swing; 512 ~ a wide typed-map transaction.
-BENCHMARK(BM_WriteSetProbe)->Arg(16)->Arg(128)->Arg(512);
-
-void BM_RawWrite(benchmark::State& state) {
-  auto& words = shared_words();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    words[i & (kWords - 1)].store(i);
-    ++i;
-  }
-}
-BENCHMARK(BM_RawWrite);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  const auto window =
+      leap::harness::bench_duration(std::chrono::milliseconds(200));
+  leap::harness::print_figure_header(
+      std::cout, "Ablation: STM instrumentation cost",
+      "single thread, 1024 shared words; items = shared-word accesses",
+      "a raw read is several times cheaper than even an amortized tx "
+      "read; a one-word read transaction per access costs the most per "
+      "read; write-set probes stay flat as the width grows");
+  auto& words = shared_words();
+  Tx& tx = tls_tx();
+  std::size_t i = 0;
+  Table table({"case", "ns/call", "items/s"});
+
+  time_case(table, "raw read", window, 1,
+            [&] { keep(words[i++ & (kWords - 1)].load()); });
+
+  time_case(table, "tx read, 256 per txn", window, 256, [&] {
+    atomically(tx, [&](Tx& t) {
+      for (std::size_t k = 0; k < 256; ++k) {
+        keep(words[i++ & (kWords - 1)].tx_read(t));
+      }
+    });
+  });
+
+  time_case(table, "single-location read txn", window, 1, [&] {
+    atomically(tx,
+               [&](Tx& t) { keep(words[i++ & (kWords - 1)].tx_read(t)); });
+  });
+
+  // 16 ~ an LT locking transaction; 600 ~ a COP 300-pair node
+  // construction.
+  for (const std::size_t batch : {16u, 600u}) {
+    time_case(table, "tx write+commit/" + std::to_string(batch), window,
+              batch, [&] {
+                atomically(tx, [&](Tx& t) {
+                  for (std::size_t k = 0; k < batch; ++k, ++i) {
+                    words[i & (kWords - 1)].tx_write_blind(t, i);
+                  }
+                });
+              });
+  }
+
+  // Write-set membership and read-your-writes at width W: the
+  // open-addressing stamp/index behind Tx::has_write, which composable
+  // typed-map ops probe once per level per operation — a linear scan
+  // here goes quadratic for wide multi-op transactions. The loop checks
+  // membership (present hits, absent misses) so an index regression
+  // fails the smoke run loudly instead of just slowly.
+  // 16 ~ one leap-list update's swing; 512 ~ a wide typed-map
+  // transaction.
+  std::uint64_t bad = 0;
+  for (const std::size_t width : {16u, 128u, 512u}) {
+    time_case(table, "write-set probe/" + std::to_string(width), window,
+              2 * width, [&] {
+                atomically(tx, [&](Tx& t) {
+                  for (std::size_t k = 0; k < width; ++k) {
+                    words[k].tx_write_blind(t, k);
+                  }
+                  for (std::size_t k = 0; k < width; ++k) {
+                    if (!t.has_write(words[k])) ++bad;
+                    keep(words[k].tx_read(t));  // read-your-writes
+                  }
+                  if (t.has_write(words[width])) ++bad;  // never written
+                });
+              });
+  }
+  if (bad != 0) {
+    std::fprintf(stderr, "abl_stm: %llu write-set membership errors\n",
+                 static_cast<unsigned long long>(bad));
+    std::abort();
+  }
+
+  time_case(table, "raw write", window, 1, [&] {
+    words[i & (kWords - 1)].store(i);
+    ++i;
+  });
+
+  table.print(std::cout);
+  return 0;
+}

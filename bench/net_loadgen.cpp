@@ -20,17 +20,17 @@
 // its ScanDone) into the harness log-domain histogram, reported as
 // p50/p99/p999 with goodput. A response of Err::kOverloaded counts as
 // SHED (the op completed unsuccessfully but honestly), not a failure.
-// --sweep runs the recorded-trajectory grid (threads x pipeline) used
-// by bench/record_bench.sh; --loadcurve first saturates the server
-// closed-loop to calibrate, then replays an open-loop offered-load
-// grid at fractions of that saturation rate (the tail-latency-vs-load
-// curve). Exit status is nonzero when any connection failed or no ops
-// completed, so CI can gate on it. After the runs, the server's own
-// counters are fetched via the Stats opcode and printed as one line.
+// Exit status is nonzero when any connection failed or no ops
+// completed, so CI can gate on it. After the run, the server's own
+// counters are fetched via the Stats opcode and printed as one line;
+// with LEAP_BENCH_JSON set, the run's numbers are also written there
+// as JSON (bench/record_bench.sh's persistence sweep reads it).
+// perfbench/ is the end-to-end benchmark; this tool is the smoke
+// driver and the crash-recovery oracle.
 //
 //   leap-loadgen --port P [--host 127.0.0.1] [--threads N] [--seconds S]
 //     [--pipeline D] [--rate R] [--keys K] [--preload N]
-//     [--mix get:put:erase:scan:txn] [--sweep] [--loadcurve]
+//     [--mix get:put:erase:scan:txn]
 //     [--putrange A:B] [--verifyrange A:B] [--tolerate-storefail]
 //     [--timeout-ms MS]
 //
@@ -519,110 +519,42 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  /// One measured configuration: a label for the table/JSON plus the
-  /// config to run (rate > 0 = open loop at that offered load).
-  struct Run {
-    std::string label;
-    GenConfig cfg;
-  };
-  std::vector<Run> runs;
-  const bool loadcurve = flag_arg(argc, argv, "--loadcurve");
-  double saturation_ops = 0;
-  if (loadcurve) {
-    // Calibrate: saturate closed-loop to find this host's ceiling,
-    // then offer open-loop load at fractions of it — the honest
-    // tail-latency-vs-offered-load curve (below and past saturation).
-    GenConfig cal = base;
-    cal.rate = 0;
-    cal.seconds = smoke ? 0.5 : std::min(base.seconds, 3.0);
-    const GenResult calres = run_config(cal);
-    if (calres.seconds <= 0 || calres.ops == 0) {
-      std::fprintf(stderr, "leap-loadgen: calibration run failed\n");
-      return 1;
-    }
-    saturation_ops = static_cast<double>(calres.ops) / calres.seconds;
-    const std::vector<double> fractions =
-        smoke ? std::vector<double>{1.0, 2.0}
-              : std::vector<double>{0.5, 0.9, 1.5, 2.0};
-    for (const double f : fractions) {
-      GenConfig cfg = base;
-      cfg.rate = saturation_ops * f;
-      runs.push_back(
-          {"load" + std::to_string(static_cast<int>(f * 100)), cfg});
-    }
-  } else if (flag_arg(argc, argv, "--sweep")) {
-    const std::vector<unsigned> thread_list =
-        smoke ? std::vector<unsigned>{1, 2} : std::vector<unsigned>{1, 4, 8};
-    const std::vector<std::size_t> pipe_list =
-        smoke ? std::vector<std::size_t>{1, 8}
-              : std::vector<std::size_t>{1, 16};
-    for (const unsigned t : thread_list) {
-      for (const std::size_t p : pipe_list) {
-        GenConfig cfg = base;
-        cfg.threads = t;
-        cfg.pipeline = p;
-        runs.push_back(
-            {"t" + std::to_string(t) + "_p" + std::to_string(p), cfg});
-      }
-    }
-    if (smoke) {
-      for (Run& r : runs) r.cfg.seconds = std::min(r.cfg.seconds, 0.5);
-    }
-  } else {
-    runs.push_back({"t" + std::to_string(base.threads) + "_p" +
-                        std::to_string(base.pipeline),
-                    base});
-  }
-
   leap::harness::print_figure_header(
       std::cout, "leap-loadgen: leapd throughput + tail latency",
-      loadcurve ? "offered-load curve (open loop vs calibrated saturation)"
-                : (base.rate > 0 ? "open loop (scheduled arrivals)"
-                                 : "closed loop (pipelined)"),
+      base.rate > 0 ? "open loop (scheduled arrivals)"
+                    : "closed loop (pipelined)",
       "pipelining multiplies throughput per connection (burst batching "
       "commits a whole pipelined window in one server txn); under "
       "overload, shed counts admission-controlled ops and dropped "
       "counts sends the full window forced the schedule to skip");
+  char label_buf[48];
+  std::snprintf(label_buf, sizeof(label_buf), "t%u_p%zu", base.threads,
+                base.pipeline);
+  const std::string label = label_buf;
+  const GenResult result = run_config(base);
+  const double ops_per_sec =
+      result.seconds > 0 ? static_cast<double>(result.ops) / result.seconds
+                         : 0;
+  const auto us = [](std::uint64_t ns) {
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(1)
+        << static_cast<double>(ns) / 1e3;
+    return out.str();
+  };
   leap::harness::Table table({"label", "offered/s", "goodput/s", "shed",
                               "dropped", "p50 us", "p99 us", "p999 us"});
-
-  struct Recorded {
-    std::string label;
-    double offered;  // ops/s offered (0 = closed loop)
-    GenResult result;
-  };
-  std::vector<Recorded> recorded;
-  std::uint64_t total_ops = 0;
-  std::uint64_t total_failures = 0;
-  for (const Run& run : runs) {
-    const GenResult result = run_config(run.cfg);
-    total_ops += result.ops;
-    total_failures += result.failures;
-    const double ops_per_sec =
-        result.seconds > 0 ? static_cast<double>(result.ops) / result.seconds
-                           : 0;
-    auto us = [](std::uint64_t ns) {
-      std::ostringstream out;
-      out << std::fixed << std::setprecision(1)
-          << static_cast<double>(ns) / 1e3;
-      return out.str();
-    };
-    table.add_row({run.label,
-                   run.cfg.rate > 0
-                       ? leap::harness::Table::format_ops(run.cfg.rate)
-                       : "closed",
-                   leap::harness::Table::format_ops(ops_per_sec),
-                   std::to_string(result.shed),
-                   std::to_string(result.dropped),
-                   us(result.hist.percentile(0.50)),
-                   us(result.hist.percentile(0.99)),
-                   us(result.hist.percentile(0.999))});
-    recorded.push_back({run.label, run.cfg.rate, result});
-  }
+  table.add_row(
+      {label,
+       base.rate > 0 ? leap::harness::Table::format_ops(base.rate)
+                     : "closed",
+       leap::harness::Table::format_ops(ops_per_sec),
+       std::to_string(result.shed), std::to_string(result.dropped),
+       us(result.hist.percentile(0.50)), us(result.hist.percentile(0.99)),
+       us(result.hist.percentile(0.999))});
   table.print(std::cout);
-  if (total_failures > 0) {
+  if (result.failures > 0) {
     std::fprintf(stderr, "leap-loadgen: %llu connection failures\n",
-                 static_cast<unsigned long long>(total_failures));
+                 static_cast<unsigned long long>(result.failures));
   }
 
   // Fetch the server's own counters (the Stats opcode) so the run
@@ -669,37 +601,22 @@ int main(int argc, char** argv) {
         << ":" << base.mix.txn << "\",\n"
         << "  \"seconds_per_point\": " << base.seconds << ",\n";
     out << std::fixed;
-    if (loadcurve) {
-      out.precision(1);
-      out << "  \"saturation_ops_per_sec\": " << saturation_ops << ",\n";
-    }
-    bool first = true;
-    for (const Recorded& r : recorded) {
-      const double ops_per_sec =
-          r.result.seconds > 0
-              ? static_cast<double>(r.result.ops) / r.result.seconds
-              : 0;
-      out << (first ? "" : ",\n");
-      out.precision(1);
-      out << "  \"" << r.label << "_offered_per_sec\": " << r.offered
-          << ",\n"
-          << "  \"" << r.label << "_ops_per_sec\": " << ops_per_sec << ",\n"
-          << "  \"" << r.label << "_shed\": " << r.result.shed << ",\n"
-          << "  \"" << r.label << "_dropped\": " << r.result.dropped
-          << ",\n"
-          << "  \"" << r.label
-          << "_p50_ns\": " << r.result.hist.percentile(0.50) << ",\n"
-          << "  \"" << r.label
-          << "_p99_ns\": " << r.result.hist.percentile(0.99) << ",\n"
-          << "  \"" << r.label
-          << "_p999_ns\": " << r.result.hist.percentile(0.999);
-      first = false;
-    }
+    out.precision(1);
+    out << "  \"" << label << "_offered_per_sec\": " << base.rate << ",\n"
+        << "  \"" << label << "_ops_per_sec\": " << ops_per_sec << ",\n"
+        << "  \"" << label << "_shed\": " << result.shed << ",\n"
+        << "  \"" << label << "_dropped\": " << result.dropped << ",\n"
+        << "  \"" << label << "_p50_ns\": " << result.hist.percentile(0.50)
+        << ",\n"
+        << "  \"" << label << "_p99_ns\": " << result.hist.percentile(0.99)
+        << ",\n"
+        << "  \"" << label
+        << "_p999_ns\": " << result.hist.percentile(0.999);
     out << "\n}\n";
   }
 
-  if (total_ops == 0 || total_failures > 0) return 1;
+  if (result.ops == 0 || result.failures > 0) return 1;
   std::printf("leap-loadgen: %llu ops total, clean run\n",
-              static_cast<unsigned long long>(total_ops));
+              static_cast<unsigned long long>(result.ops));
   return 0;
 }

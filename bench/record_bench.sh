@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Record the repo's perf trajectory: run the shard-count sweep, the
-# network loadgen sweep, and the offered-load (overload) curve, and
-# write one combined JSON at the repo root.
+# range-query span sweep, and the persistence sweep, and write one
+# combined JSON at the repo root. leapd's end-to-end numbers come from
+# perfbench/ (python3 perfbench/run.py), not from this script.
 #
 #   [BENCH_NAME=...] bench/record_bench.sh [build-dir]   (default: ./build)
 #
@@ -9,7 +10,7 @@
 # CI artifact, gitignored). A PR that commits its trajectory sets a
 # frozen name instead, e.g. `BENCH_NAME=BENCH_PR7 bench/record_bench.sh`.
 #
-# Five sweeps feed the file:
+# Three sweeps feed the file:
 #   * bench/abl_shard.cpp — leap::ShardedMap at S = 1..64 shards,
 #     8 threads, read-mostly and mixed. The *_scaling ratios (top S
 #     over S = 1, same machine, same run) are the portable signal —
@@ -21,16 +22,6 @@
 #     linearizable; bundled_over_stitched_spanN per span width is the
 #     portable signal (the as-of walk never aborts, so its edge grows
 #     with span and update pressure).
-#   * bench/net_loadgen.cpp --sweep — leapd over loopback, a
-#     threads × pipeline grid (1/4/8 clients, unpipelined vs depth 16),
-#     throughput + p50/p99/p999 per point. The pipelined-vs-unpipelined
-#     ratio at equal threads isolates the server's burst batching.
-#   * bench/net_loadgen.cpp --loadcurve, twice — tail latency vs
-#     offered load (open loop at 0.5/0.9/1.5/2x the calibrated
-#     saturation rate), once against leapd's default admission control
-#     and once with every cap disabled. The portable signal: p99 stays
-#     bounded past saturation WITH admission (requests shed instead of
-#     queueing without bound) and blows up WITHOUT.
 #   * persistence — the same write-heavy workload against three
 #     leapd configurations: pure in-memory, --fsync-mode off, and
 #     group. MEDIAN of 3 trials per mode (this VM's throughput is
@@ -45,8 +36,9 @@
 #     (in-memory) vs cold (post-checkpoint, bloom+run) read latency.
 #
 # Earlier committed trajectories (BENCH_PR4.json from abl_alloc,
-# BENCH_PR5.json from abl_shard alone, BENCH_PR6.json without the
-# overload curve) stay as history; their guards still run in ctest.
+# BENCH_PR5.json from abl_shard alone, BENCH_PR6.json and BENCH_PR7.json
+# with the retired loadgen net sweep and overload curves) stay as
+# history; their guards still run in ctest.
 #
 # LEAP_BENCH_SMOKE=1 shrinks all sweeps (tiny windows, small grids).
 set -euo pipefail
@@ -57,9 +49,6 @@ NAME="${BENCH_NAME:-BENCH_LATEST}"
 OUT="$ROOT/$NAME.json"
 CUR_SHARD="$(mktemp)"
 CUR_RQSPAN="$(mktemp)"
-CUR_NET="$(mktemp)"
-CUR_CURVE_ON="$(mktemp)"
-CUR_CURVE_OFF="$(mktemp)"
 CUR_TRIAL="$(mktemp)"
 SERVER_LOG="$(mktemp)"
 SERVER_PID=""
@@ -69,8 +58,7 @@ cleanup() {
   if [[ -n "$SERVER_PID" ]] && kill -0 "$SERVER_PID" 2>/dev/null; then
     kill -9 "$SERVER_PID" 2>/dev/null || true
   fi
-  rm -f "$CUR_SHARD" "$CUR_RQSPAN" "$CUR_NET" "$CUR_CURVE_ON" \
-    "$CUR_CURVE_OFF" "$CUR_TRIAL" "$SERVER_LOG"
+  rm -f "$CUR_SHARD" "$CUR_RQSPAN" "$CUR_TRIAL" "$SERVER_LOG"
   # An if, not `[[ ]] && rm`: under set -e a false test as the trap's
   # last command would turn a finished run's exit status into 1.
   if [[ -n "$DATADIR" ]]; then rm -rf "$DATADIR"; fi
@@ -128,29 +116,10 @@ LEAP_BENCH_JSON="$CUR_SHARD" "$BUILD/abl_shard"
 # --- sweep 1b: range-query span + bundled-vs-stitched crossover -------
 LEAP_BENCH_JSON="$CUR_RQSPAN" "$BUILD/abl_rqspan"
 
-# --- sweep 2: serving layer over loopback -----------------------------
-start_leapd
-LEAP_BENCH_JSON="$CUR_NET" "$BUILD/leap-loadgen" --port "$PORT" --sweep
-stop_leapd
-
-# --- sweep 3: offered-load curve, admission on vs off -----------------
-# Same workload, two servers: leapd's default caps (shed at the queue),
-# then every cap disabled (queues grow; the loadgen's monotone open-
-# loop schedule charges the backlog to latency honestly).
-start_leapd  # default admission control ON
-LEAP_BENCH_JSON="$CUR_CURVE_ON" "$BUILD/leap-loadgen" --port "$PORT" \
-  --threads 2 --loadcurve
-stop_leapd
-
-start_leapd --max-queue 0 --max-global 0 --accept-pause 0
-LEAP_BENCH_JSON="$CUR_CURVE_OFF" "$BUILD/leap-loadgen" --port "$PORT" \
-  --threads 2 --loadcurve
-stop_leapd
-
 MODE="full"
 [[ -n "${LEAP_BENCH_SMOKE:-}" ]] && MODE="smoke"
 
-# --- sweep 4: persistence — fsync-mode overhead, recovery, cold reads --
+# --- sweep 2: persistence — fsync-mode overhead, recovery, cold reads --
 # Write-heavy fixed config: one map shard (one WAL = one fsync chain,
 # maximal group amortization), deep pipelines + large batch cap so
 # whole bursts commit and sync together, checkpoint threshold far
@@ -264,7 +233,7 @@ REPLAY_MS=$((RESTART_MS > BASELINE_MS ? RESTART_MS - BASELINE_MS : 0))
   echo '{'
   echo "  \"bench\": \"$NAME\","
   echo "  \"current_mode\": \"$MODE\","
-  echo '  "note": "shard-sweep scaling ratios compare top-S to S=1 within this run (same machine) and are the portable signal; net-sweep pipelined-vs-unpipelined ratios at equal threads isolate burst batching; the overload curves compare p99 past saturation with admission control on (bounded, requests shed) vs off (backlogged); absolute ops/sec are machine-dependent",'
+  echo '  "note": "shard-sweep scaling ratios compare top-S to S=1 within this run (same machine) and are the portable signal; absolute ops/sec are machine-dependent",'
   echo '  "shard_sweep_workload": "1 structure, 100K keys, 8 threads; read-mostly 90/0/10 and mixed 40/30/30; sharded LT / tm / rwlock",'
   echo -n '  "shard_sweep": '
   sed 's/^/  /' "$CUR_SHARD" | sed '1s/^  //'
@@ -272,17 +241,6 @@ REPLAY_MS=$((RESTART_MS > BASELINE_MS ? RESTART_MS - BASELINE_MS : 0))
   echo '  "rqspan_workload": "one structure, 100K keys, max threads; sweep 1: 100% range queries, LT vs skip baselines, per span; sweep 2 (crossover): 50% range / 50% modify on one 8-shard ShardedMap, TM-stitched transactional scan vs for_range_bundled as-of walk on the SAME map (both linearizable), plus sharded-LT bundled-native; the bundled_over_stitched_spanN ratios are the portable signal",'
   echo -n '  "rqspan": '
   sed 's/^/  /' "$CUR_RQSPAN" | sed '1s/^  //'
-  echo ','
-  echo '  "net_sweep_workload": "leapd over loopback, 2 workers, 8 shards; threads x pipeline grid, default mix; p50/p99/p999 per point",'
-  echo -n '  "net_sweep": '
-  sed 's/^/  /' "$CUR_NET" | sed '1s/^  //'
-  echo ','
-  echo '  "overload_workload": "leapd over loopback, 2 workers, 8 shards, 2 loadgen threads; open loop at 0.5/0.9/1.5/2x calibrated saturation (1x/2x in smoke); goodput + shed + dropped + p50/p99/p999 per offered load",'
-  echo -n '  "overload_admission_on": '
-  sed 's/^/  /' "$CUR_CURVE_ON" | sed '1s/^  //'
-  echo ','
-  echo -n '  "overload_admission_off": '
-  sed 's/^/  /' "$CUR_CURVE_OFF" | sed '1s/^  //'
   echo ','
   echo '  "persistence_workload": "leapd 2 workers, 1 shard, batch 512, checkpoint-bytes 256M; loadgen 2 threads, pipeline 512, all-put mix; median of '"$TRIALS"' trials x '"$GEN_SECONDS"'s per mode; recovery = kill -9 after putrange 0:'"$NKEYS"', replay_ms = restart listen-line wall time minus empty-dir baseline; cold reads = all-get over a fully checkpointed+evicted range (runs, bloom-gated) vs the same range hot in a pure in-memory server",'
   echo '  "persistence": {'

@@ -136,8 +136,8 @@ inline void lower_bound_step(const Key* keys, std::size_t& base,
 /// First index in [0, n] whose key is >= probe: branchless binary
 /// search over the flat key array. The per-step update compiles to a
 /// conditional move, so the in-node hot loop carries no unpredictable
-/// branch (measured against std::lower_bound and the PATRICIA trie in
-/// abl_search / abl_trie; see ROADMAP's trie item).
+/// branch (measured against std::lower_bound in abl_search; an in-node
+/// PATRICIA trie lost to it too, see docs/benchmarks.md).
 inline std::size_t flat_lower_bound(const Key* keys, std::size_t n,
                                     Key probe) noexcept {
   std::size_t base = 0;
@@ -934,8 +934,17 @@ class LeapListBase {
     }
     return static_cast<const Node*>(bundle::find(x->bundle0, ts));
   }
+  /// One update: a put of {key, value}, or an erase of key.
+  struct Update {
+    Key key;
+    Value value;
+    bool erase;
+  };
+
   /// Replacement plan for one update: n1 (always) and n2 (splits only),
-  /// plus how many index levels the swing must rewrite.
+  /// plus how many index levels the swing must rewrite. Empty (n1 ==
+  /// nullptr) for an erase of an absent key. `inserted` is the update's
+  /// answer: a put added a new key, or an erase removed one.
   struct Replacement {
     Node* n1 = nullptr;
     Node* n2 = nullptr;
@@ -988,7 +997,8 @@ class LeapListBase {
         n->high_raw() <= high ? n->count
                               : detail::flat_upper_bound(keys, n->count, high);
     if constexpr (detail::BulkVisitor<F>) {
-      if (end == first) return true;
+      // A reversed range (low > high) can put end below first.
+      if (end <= first) return true;
       count += end - first;
       return detail::visit_run(fn, keys + first, values + first, end - first);
     } else {
@@ -1001,6 +1011,7 @@ class LeapListBase {
   }
 
   Replacement plan_insert(Node* n, Key key, Value value) const {
+    assert_user_key(key);
     Replacement plan;
     const Key* skeys = n->keys();
     const Value* svalues = n->values();
@@ -1069,10 +1080,11 @@ class LeapListBase {
     return plan;
   }
 
-  /// Replacement with `key` removed, or nullptr when absent.
-  Node* plan_erase(Node* n, Key key) const {
+  /// Replacement with `key` removed; empty when absent.
+  Replacement plan_erase(Node* n, Key key) const {
+    Replacement plan;
     const int idx = find_in(n, key);
-    if (idx < 0) return nullptr;
+    if (idx < 0) return plan;
     Node* n1 = alloc_node(n->level, n->high);
     const auto pos = static_cast<std::size_t>(idx);
     const Key* skeys = n->keys();
@@ -1082,13 +1094,60 @@ class LeapListBase {
     std::copy(svalues, svalues + pos, n1->values());
     std::copy(svalues + pos + 1, svalues + n->count, n1->values() + pos);
     n1->count = n->count - 1;
-    return n1;
+    plan.n1 = n1;
+    plan.link_top = n->level;
+    plan.inserted = true;
+    return plan;
+  }
+
+  Replacement plan_update(Node* n, const Update& u) const {
+    return u.erase ? plan_erase(n, u.key) : plan_insert(n, u.key, u.value);
   }
 
   static void discard(Replacement& plan) {
     destroy_node(plan.n1);
     destroy_node(plan.n2);
     plan.n1 = plan.n2 = nullptr;
+  }
+
+  /// Retire a replaced victim: a search that still meets it restarts,
+  /// and its block recycles once no search can reference it.
+  static void retire_victim(Node* victim) {
+    victim->live.store(false, std::memory_order_release);
+    util::ebr::retire(victim, &recycle_node);
+  }
+
+  /// The update loop of the variants that publish by themselves (LT,
+  /// COP, RW): raw search, plan, then the variant's publish step
+  /// `publish(sr, n, plan)`, which swings the pointers unless the
+  /// searched window moved. Success retires the victim; failure drops
+  /// the plan and searches again. An absent erase answers false without
+  /// publishing.
+  template <typename Publish>
+  bool raw_update(const Update& u, const char* what, Publish publish) {
+    require_no_open_tx(what);
+    util::ebr::Guard guard;
+    while (true) {
+      const SearchResult sr =
+          search_predecessors(head_, params_.max_level, u.key);
+      Node* n = sr.na[0];
+      Replacement plan = plan_update(n, u);
+      if (plan.n1 == nullptr) return false;
+      if (publish(sr, n, plan)) {
+        retire_victim(n);
+        return plan.inserted;
+      }
+      discard(plan);
+    }
+  }
+
+  /// A raw lookup of `key` run to its answer. Must run under an
+  /// ebr::Guard (or, for RW, under its lock).
+  GetProbe run_probe(Key key) const {
+    GetProbe probe = get_probe(key);
+    while (!probe.step()) {
+    }
+    return probe;
   }
 
   /// Fresh-node next word: initialize the memory now — a raw traversal
@@ -1242,76 +1301,42 @@ class LeapListBase {
       destroy_node(n1);
       destroy_node(n2);
     });
-    tx.defer_on_commit([victim] {
-      victim->live.store(false, std::memory_order_release);
-      util::ebr::retire(victim, &recycle_node);
-    });
+    tx.defer_on_commit([victim] { retire_victim(victim); });
   }
 
-  bool txn_insert(stm::Tx& tx, Key key, Value value, TxSearch mode) {
-    assert_user_key(key);
+  bool txn_update(stm::Tx& tx, const Update& u, TxSearch mode) {
     assert(tx.in_tx());
     SearchResult sr;
     Node* n = nullptr;
     bool hybrid = false;
     if (mode == TxSearch::kHybrid) {
-      sr = search_predecessors(head_, params_.max_level, key);
+      sr = search_predecessors(head_, params_.max_level, u.key);
       if (!window_self_dirty(tx, sr, sr.na[0])) {
         n = sr.na[0];
         hybrid = true;
       }
     }
     if (n == nullptr) {
-      sr = search_predecessors_tx(tx, head_, params_.max_level, key);
+      sr = search_predecessors_tx(tx, head_, params_.max_level, u.key);
       n = sr.na[0];
     }
-    const Replacement plan = plan_insert(n, key, value);
+    const Replacement plan = plan_update(n, u);
+    if (plan.n1 == nullptr) {
+      // Absent erase. Pin the cover node's identity so the absence is
+      // part of the read set (the instrumented search did this
+      // implicitly).
+      if (hybrid && !validate_tx(tx, sr, n, 1)) tx.abort();
+      return false;
+    }
     enlist_swap(tx, n, plan);
     if (hybrid && !validate_tx(tx, sr, n, plan.link_top)) tx.abort();
     apply_swap(tx, sr, n, plan, PredWrites::kRead);
     return plan.inserted;
   }
 
-  bool txn_erase(stm::Tx& tx, Key key, TxSearch mode) {
-    assert(tx.in_tx());
-    SearchResult sr;
-    Node* n = nullptr;
-    bool hybrid = false;
-    if (mode == TxSearch::kHybrid) {
-      sr = search_predecessors(head_, params_.max_level, key);
-      if (!window_self_dirty(tx, sr, sr.na[0])) {
-        n = sr.na[0];
-        hybrid = true;
-      }
-    }
-    if (n == nullptr) {
-      sr = search_predecessors_tx(tx, head_, params_.max_level, key);
-      n = sr.na[0];
-    }
-    Node* n1 = plan_erase(n, key);
-    if (n1 == nullptr) {
-      // Absent. Pin the cover node's identity so the absence is part of
-      // the read set (the instrumented search did this implicitly).
-      if (hybrid && !validate_tx(tx, sr, n, 1)) tx.abort();
-      return false;
-    }
-    Replacement plan;
-    plan.n1 = n1;
-    plan.link_top = n->level;
-    enlist_swap(tx, n, plan);
-    if (hybrid && !validate_tx(tx, sr, n, plan.link_top)) tx.abort();
-    apply_swap(tx, sr, n, plan, PredWrites::kRead);
-    return true;
-  }
-
   std::optional<Value> txn_get(stm::Tx& tx, Key key, TxSearch mode) const {
     assert(tx.in_tx());
-    if (mode == TxSearch::kHybrid) {
-      GetProbe probe = get_probe(key);
-      while (!probe.step()) {
-      }
-      return finish_get(tx, probe);
-    }
+    if (mode == TxSearch::kHybrid) return finish_get(tx, run_probe(key));
     return get_instrumented(tx, head_, params_.max_level, key);
   }
 
@@ -1326,18 +1351,23 @@ class LeapListBase {
     return n->values()[idx];
   }
 
-  /// The hybrid get's rule, applied to a finished raw probe. Replacing
-  /// the cover node rewrites its (unique) bottom-level predecessor
-  /// word, so one clean hop pins the node's identity, and immutable
-  /// content makes the probe's answer valid: tx_read that hop and abort
-  /// when it moved. A hop this transaction wrote falls back to the
-  /// instrumented search, which reads its own writes.
+  /// True when a finished raw probe's bottom hop, read in `tx`, still
+  /// leads to the node it answered from. Replacing the cover node
+  /// rewrites its (unique) bottom-level predecessor word, so one clean
+  /// hop pins the node's identity, and immutable content makes the
+  /// probe's answer valid.
+  static bool probe_holds(stm::Tx& tx, const GetProbe& p) {
+    return p.pred()->next(0).tx_read(tx) == util::to_word(p.node());
+  }
+
+  /// The hybrid get's rule, applied to a finished raw probe: abort when
+  /// the probe no longer holds. A hop this transaction wrote falls back
+  /// to the instrumented search, which reads its own writes.
   static std::optional<Value> finish_get(stm::Tx& tx, const GetProbe& p) {
-    stm::TxField<std::uint64_t>& hop = p.pred()->next(0);
-    if (tx.has_write(hop)) {
+    if (tx.has_write(p.pred()->next(0))) {
       return get_instrumented(tx, p.head(), p.max_level(), p.key());
     }
-    if (hop.tx_read(tx) != util::to_word(p.node())) tx.abort();
+    if (!probe_holds(tx, p)) tx.abort();
     return p.answer();
   }
 
@@ -1398,51 +1428,24 @@ class LeapListLT : public LeapListBase {
   using LeapListBase::LeapListBase;
 
   bool insert(Key key, Value value) {
-    assert_user_key(key);
-    require_no_open_tx("LeapListLT update");
-    util::ebr::Guard guard;
-    while (true) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      Node* n = sr.na[0];
-      Replacement plan = plan_insert(n, key, value);
-      if (publish_locked(sr, n, plan)) return plan.inserted;
-      discard(plan);
-    }
+    return raw_update({key, value, false}, "LeapListLT update",
+                      publish_locked);
   }
 
   bool erase(Key key) {
-    require_no_open_tx("LeapListLT update");
-    util::ebr::Guard guard;
-    while (true) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      Node* n = sr.na[0];
-      Node* n1 = plan_erase(n, key);
-      if (n1 == nullptr) return false;
-      Replacement plan;
-      plan.n1 = n1;
-      plan.link_top = n->level;
-      if (publish_locked(sr, n, plan)) return true;
-      discard(plan);
-    }
+    return raw_update({key, 0, true}, "LeapListLT update", publish_locked);
   }
 
   /// Transaction-free lookup: the raw search only accepts live,
   /// unmarked hops, and node content is immutable.
   std::optional<Value> get(Key key) const {
     util::ebr::Guard guard;
-    const SearchResult sr =
-        search_predecessors(head_, params_.max_level, key);
-    const Node* n = sr.na[0];
-    const int idx = find_in(n, key);
-    if (idx < 0) return std::nullopt;
-    return n->values()[idx];
+    return run_probe(key).answer();
   }
 
  private:
-  bool publish_locked(const SearchResult& sr, Node* n,
-                      const Replacement& plan) {
+  static bool publish_locked(const SearchResult& sr, Node* n,
+                             const Replacement& plan) {
     // Stripe set for the victim + predecessors, deduplicated and taken
     // in ascending index order (the stripe table's global lock order).
     std::array<std::size_t, kMaxHeight + 1> stripes;
@@ -1465,16 +1468,16 @@ class LeapListLT : public LeapListBase {
       }
     }
     if (valid) {
-      stm::Tx& tx = stm::tls_tx();
-      stm::atomically(tx, [&](stm::Tx& t) {
+      stm::atomically(stm::tls_tx(), [&](stm::Tx& t) {
         apply_swap(t, sr, n, plan, PredWrites::kLocked);
       });
+      // Validation reads `live` under the victim's stripe, so it goes
+      // false before the stripe is released; the loop then retires n.
       n->live.store(false, std::memory_order_release);
     }
     for (int i = count - 1; i >= 0; --i) {
       detail::stripe_lock(stripes[i]).unlock();
     }
-    if (valid) util::ebr::retire(n, &recycle_node);
     return valid;
   }
 };
@@ -1487,74 +1490,37 @@ class LeapListCOP : public LeapListBase {
   using LeapListBase::LeapListBase;
 
   bool insert(Key key, Value value) {
-    assert_user_key(key);
-    require_no_open_tx("LeapListCOP update");
-    util::ebr::Guard guard;
-    stm::Tx& tx = stm::tls_tx();
-    while (true) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      Node* n = sr.na[0];
-      Replacement plan = plan_insert(n, key, value);
-      bool valid = false;
-      stm::atomically(tx, [&](stm::Tx& t) {
-        valid = validate_tx(t, sr, n, plan.link_top);
-        if (valid) apply_swap(t, sr, n, plan, PredWrites::kRead);
-      });
-      if (valid) {
-        n->live.store(false, std::memory_order_release);
-        util::ebr::retire(n, &recycle_node);
-        return plan.inserted;
-      }
-      discard(plan);
-    }
+    return raw_update({key, value, false}, "LeapListCOP update",
+                      publish_validated);
   }
 
   bool erase(Key key) {
-    require_no_open_tx("LeapListCOP update");
-    util::ebr::Guard guard;
-    stm::Tx& tx = stm::tls_tx();
-    while (true) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      Node* n = sr.na[0];
-      Node* n1 = plan_erase(n, key);
-      if (n1 == nullptr) return false;
-      Replacement plan;
-      plan.n1 = n1;
-      plan.link_top = n->level;
-      bool valid = false;
-      stm::atomically(tx, [&](stm::Tx& t) {
-        valid = validate_tx(t, sr, n, plan.link_top);
-        if (valid) apply_swap(t, sr, n, plan, PredWrites::kRead);
-      });
-      if (valid) {
-        n->live.store(false, std::memory_order_release);
-        util::ebr::retire(n, &recycle_node);
-        return true;
-      }
-      discard(plan);
-    }
+    return raw_update({key, 0, true}, "LeapListCOP update",
+                      publish_validated);
   }
 
+  /// Raw lookup, then the probe's bottom hop validated in a read-only
+  /// transaction (the hybrid get's rule); a moved hop redoes the lookup.
   std::optional<Value> get(Key key) const {
     util::ebr::Guard guard;
     stm::Tx& tx = stm::tls_tx();
     while (true) {
-      const SearchResult sr =
-          search_predecessors(head_, params_.max_level, key);
-      Node* n = sr.na[0];
+      const GetProbe probe = run_probe(key);
       bool valid = false;
-      std::optional<Value> result;
-      stm::atomically(tx, [&](stm::Tx& t) {
-        result.reset();
-        valid = sr.pa[0]->next(0).tx_read(t) == util::to_word(n);
-        if (!valid) return;
-        const int idx = find_in(n, key);
-        if (idx >= 0) result = n->values()[idx];
-      });
-      if (valid) return result;
+      stm::atomically(tx, [&](stm::Tx& t) { valid = probe_holds(t, probe); });
+      if (valid) return probe.answer();
     }
+  }
+
+ private:
+  static bool publish_validated(const SearchResult& sr, Node* n,
+                                const Replacement& plan) {
+    bool valid = false;
+    stm::atomically(stm::tls_tx(), [&](stm::Tx& t) {
+      valid = validate_tx(t, sr, n, plan.link_top);
+      if (valid) apply_swap(t, sr, n, plan, PredWrites::kRead);
+    });
+    return valid;
   }
 };
 
@@ -1573,11 +1539,11 @@ class LeapListTM : public LeapListBase {
 
   // Composable forms — require an open transaction.
   bool insert_in(stm::Tx& tx, Key key, Value value) {
-    return txn_insert(tx, key, value, TxSearch::kHybrid);
+    return txn_update(tx, {key, value, false}, TxSearch::kHybrid);
   }
 
   bool erase_in(stm::Tx& tx, Key key) {
-    return txn_erase(tx, key, TxSearch::kHybrid);
+    return txn_update(tx, {key, 0, true}, TxSearch::kHybrid);
   }
 
   std::optional<Value> get_in(stm::Tx& tx, Key key) const {
@@ -1634,13 +1600,13 @@ class LeapListTM : public LeapListBase {
   // Single-op forms — one transaction per call.
   bool insert(Key key, Value value) {
     return leap::txn([&](stm::Tx& tx) {
-      return txn_insert(tx, key, value, TxSearch::kInstrumented);
+      return txn_update(tx, {key, value, false}, TxSearch::kInstrumented);
     });
   }
 
   bool erase(Key key) {
     return leap::txn([&](stm::Tx& tx) {
-      return txn_erase(tx, key, TxSearch::kInstrumented);
+      return txn_update(tx, {key, 0, true}, TxSearch::kInstrumented);
     });
   }
 
@@ -1682,55 +1648,33 @@ class LeapListRW : public LeapListBase {
  public:
   using LeapListBase::LeapListBase;
 
-  bool insert(Key key, Value value) {
-    assert_user_key(key);
-    require_no_open_tx("LeapListRW update");
-    util::ebr::Guard guard;
-    std::unique_lock<std::shared_mutex> lk(mu_);
-    const SearchResult sr = search_predecessors(head_, params_.max_level, key);
-    Node* n = sr.na[0];
-    const Replacement plan = plan_insert(n, key, value);
-    publish_exclusive(sr, n, plan);
-    return plan.inserted;
-  }
+  bool insert(Key key, Value value) { return update({key, value, false}); }
 
-  bool erase(Key key) {
-    require_no_open_tx("LeapListRW update");
-    util::ebr::Guard guard;
-    std::unique_lock<std::shared_mutex> lk(mu_);
-    const SearchResult sr = search_predecessors(head_, params_.max_level, key);
-    Node* n = sr.na[0];
-    Node* n1 = plan_erase(n, key);
-    if (n1 == nullptr) return false;
-    Replacement plan;
-    plan.n1 = n1;
-    plan.link_top = n->level;
-    publish_exclusive(sr, n, plan);
-    return true;
-  }
+  bool erase(Key key) { return update({key, 0, true}); }
 
   std::optional<Value> get(Key key) const {
     std::shared_lock<std::shared_mutex> lk(mu_);
-    const SearchResult sr = search_predecessors(head_, params_.max_level, key);
-    const Node* n = sr.na[0];
-    const int idx = find_in(n, key);
-    if (idx < 0) return std::nullopt;
-    return n->values()[idx];
+    return run_probe(key).answer();
   }
 
  private:
+  /// The search, the plan and the publish all run under the exclusive
+  /// lock, so the window cannot move and the publish always succeeds.
+  bool update(const Update& u) {
+    std::unique_lock<std::shared_mutex> lk(mu_);
+    return raw_update(u, "LeapListRW update", publish_exclusive);
+  }
+
   /// Timestamped publish under the exclusive lock: no other writer can
   /// exist, so validation is unnecessary and the commit succeeds
   /// without conflicts — but it still stamps the links and bundles
   /// with a commit version, which the lock-free scans rely on.
-  void publish_exclusive(const SearchResult& sr, Node* n,
-                         const Replacement& plan) {
-    stm::Tx& tx = stm::tls_tx();
-    stm::atomically(tx, [&](stm::Tx& t) {
+  static bool publish_exclusive(const SearchResult& sr, Node* n,
+                                const Replacement& plan) {
+    stm::atomically(stm::tls_tx(), [&](stm::Tx& t) {
       apply_swap(t, sr, n, plan, PredWrites::kLocked);
     });
-    n->live.store(false, std::memory_order_release);
-    util::ebr::retire(n, &recycle_node);
+    return true;
   }
 
   mutable std::shared_mutex mu_;

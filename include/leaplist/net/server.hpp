@@ -126,6 +126,7 @@ class Server {
  private:
   struct Worker;
   friend struct Worker;
+  struct WorkerCounters;
 
   ServerOptions opts_;
   MapType map_;
@@ -136,18 +137,9 @@ class Server {
   /// Admitted requests buffered across ALL workers, awaiting
   /// execution — the global admission gauge (max_global, accept_pause).
   std::atomic<std::uint64_t> queued_{0};
-  // Fold targets: stop() drains each worker's relaxed counters here
-  // before destroying it, so stats() stays truthful after shutdown.
-  std::atomic<std::uint64_t> ops_{0};
-  std::atomic<std::uint64_t> errored_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> stm_retries_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batch_ops_{0};
-  std::atomic<std::uint64_t> queue_hwm_{0};
-  std::atomic<std::uint64_t> accept_pauses_{0};
-  std::atomic<std::uint64_t> emfile_sheds_{0};
-  std::atomic<std::uint64_t> batch_hist_[kBatchHistBuckets] = {};
+  // Each worker's counters, owned here rather than by the worker so
+  // they outlive it: stats() stays truthful after stop().
+  std::vector<std::unique_ptr<WorkerCounters>> counters_;
   std::vector<std::unique_ptr<Worker>> workers_;
   // Durable tier; stop() folds its final counters here so stats()
   // stays truthful after shutdown.

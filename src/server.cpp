@@ -63,6 +63,21 @@ enum : std::uint8_t {
 
 }  // namespace
 
+/// Per-worker observability counters. Written by the owning worker
+/// with relaxed ops only; Server::stats() reads them cross-thread.
+struct Server::WorkerCounters {
+  std::atomic<std::uint64_t> ops{0};
+  std::atomic<std::uint64_t> errored{0};
+  std::atomic<std::uint64_t> shed{0};
+  std::atomic<std::uint64_t> stm_retries{0};
+  std::atomic<std::uint64_t> batches{0};
+  std::atomic<std::uint64_t> batch_ops{0};
+  std::atomic<std::uint64_t> queue_hwm{0};
+  std::atomic<std::uint64_t> accept_pauses{0};
+  std::atomic<std::uint64_t> emfile_sheds{0};
+  std::atomic<std::uint64_t> batch_hist[kBatchHistBuckets] = {};
+};
+
 /// One epoll shard: a thread, its epoll instance, a wake eventfd, and
 /// the connections it accepted. All per-connection state is touched by
 /// this thread only.
@@ -93,22 +108,6 @@ struct Server::Worker {
     bool peer_eof = false;    // read side done; serve then close
   };
 
-  /// Per-worker observability counters. Written by the owning thread
-  /// with relaxed ops only; Server::stats() reads them cross-thread
-  /// and stop() folds them into the Server's totals.
-  struct Counters {
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> errored{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> stm_retries{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> batch_ops{0};
-    std::atomic<std::uint64_t> queue_hwm{0};
-    std::atomic<std::uint64_t> accept_pauses{0};
-    std::atomic<std::uint64_t> emfile_sheds{0};
-    std::atomic<std::uint64_t> batch_hist[kBatchHistBuckets] = {};
-  };
-
   Server& server;
   int epoll_fd = -1;
   int wake_fd = -1;
@@ -116,7 +115,7 @@ struct Server::Worker {
   std::atomic<pid_t> tid{0};  // the thread's kernel id, for stuck reports
   std::atomic<bool> exited{false};  // run() has returned
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
-  Counters counters;
+  WorkerCounters& counters;  // owned by the Server, outlives the worker
   /// Admitted requests buffered across this worker's connections,
   /// awaiting execution (the per-worker admission gauge).
   std::size_t queued = 0;
@@ -138,7 +137,8 @@ struct Server::Worker {
   int listen_tag = 0;
   int wake_tag = 0;
 
-  explicit Worker(Server& owner) : server(owner) {}
+  Worker(Server& owner, WorkerCounters& mine)
+      : server(owner), counters(mine) {}
 
   ~Worker() {
     for (auto& [fd, conn] : conns) ::close(fd);
@@ -874,7 +874,8 @@ bool Server::start(std::string* error) {
   running_.store(true, std::memory_order_release);
   const unsigned workers = opts_.workers < 1 ? 1 : opts_.workers;
   for (unsigned w = 0; w < workers; ++w) {
-    auto worker = std::make_unique<Worker>(*this);
+    counters_.push_back(std::make_unique<WorkerCounters>());
+    auto worker = std::make_unique<Worker>(*this, *counters_.back());
     if (!worker->init(error)) {
       running_.store(false, std::memory_order_release);
       stop();
@@ -928,36 +929,6 @@ void Server::stop() {
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
-  // Fold the per-worker counters into the Server's totals so stats()
-  // stays truthful after the workers are gone.
-  for (auto& worker : workers_) {
-    const Worker::Counters& c = worker->counters;
-    ops_.fetch_add(c.ops.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    errored_.fetch_add(c.errored.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    shed_.fetch_add(c.shed.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    stm_retries_.fetch_add(c.stm_retries.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    batches_.fetch_add(c.batches.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    batch_ops_.fetch_add(c.batch_ops.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    accept_pauses_.fetch_add(c.accept_pauses.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-    emfile_sheds_.fetch_add(c.emfile_sheds.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    const std::uint64_t hwm = c.queue_hwm.load(std::memory_order_relaxed);
-    if (hwm > queue_hwm_.load(std::memory_order_relaxed)) {
-      queue_hwm_.store(hwm, std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < kBatchHistBuckets; ++i) {
-      batch_hist_[i].fetch_add(
-          c.batch_hist[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-  }
   workers_.clear();  // Worker dtors close epoll/event/conn fds
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -974,20 +945,8 @@ ServerStats Server::stats() const {
   ServerStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);
   s.queued_now = queued_.load(std::memory_order_relaxed);
-  s.ops = ops_.load(std::memory_order_relaxed);
-  s.errored = errored_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.stm_retries = stm_retries_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batch_ops = batch_ops_.load(std::memory_order_relaxed);
-  s.queue_hwm = queue_hwm_.load(std::memory_order_relaxed);
-  s.accept_pauses = accept_pauses_.load(std::memory_order_relaxed);
-  s.emfile_sheds = emfile_sheds_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kBatchHistBuckets; ++i) {
-    s.batch_hist[i] = batch_hist_[i].load(std::memory_order_relaxed);
-  }
-  for (const auto& worker : workers_) {
-    const Worker::Counters& c = worker->counters;
+  for (const auto& worker : counters_) {
+    const WorkerCounters& c = *worker;
     s.ops += c.ops.load(std::memory_order_relaxed);
     s.errored += c.errored.load(std::memory_order_relaxed);
     s.shed += c.shed.load(std::memory_order_relaxed);

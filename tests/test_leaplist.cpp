@@ -1,6 +1,8 @@
 // Single-threaded functional tests for all four leap-list variants,
-// checked against a std::map reference model, plus the checked-build
-// bound on a search stuck on a retired node.
+// checked against a std::map reference model, plus two death tests:
+// the checked-build bound on a search stuck on a retired node, and the
+// always-on guard against enlisting an LT/COP/RW update in an open
+// transaction.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -134,6 +136,20 @@ void test_variant(const char* name, Params params) {
   std::printf("  variant %s ok\n", name);
 }
 
+/// Runs `fn` in a child process; true when the child died of SIGABRT.
+bool aborts_in_child(const std::function<void()>& fn) {
+  const pid_t child = ::fork();
+  CHECK(child >= 0);
+  if (child == 0) {
+    (void)std::freopen("/dev/null", "w", stderr);
+    fn();
+    std::_Exit(0);
+  }
+  int status = 0;
+  CHECK_EQ(::waitpid(child, &status, 0), child);
+  return WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT;
+}
+
 void test_stuck_search_aborts() {
   // A retired node left linked (what a write built on an unread word
   // did) makes every search restart on it. Checked builds bound that:
@@ -152,22 +168,30 @@ void test_stuck_search_aborts() {
     GetProbe probes[2] = {GetProbe(head, 1, 50), GetProbe(head, 1, 150)};
     walk_interleaved(probes, 2);
   };
-  for (const auto& search : {std::function<void()>(search_plain),
-                             std::function<void()>(search_batched)}) {
-    const pid_t child = ::fork();
-    CHECK(child >= 0);
-    if (child == 0) {
-      (void)std::freopen("/dev/null", "w", stderr);
-      search();
-      std::_Exit(0);
-    }
-    int status = 0;
-    CHECK_EQ(::waitpid(child, &status, 0), child);
-    CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
-  }
+  CHECK(aborts_in_child(search_plain));
+  CHECK(aborts_in_child(search_batched));
   destroy_node(head);
   destroy_node(retired);
   destroy_node(tail);
+}
+
+template <typename ListT>
+void test_update_refuses_open_tx(const char* name) {
+  // LT, COP and RW publish, unlock and retire as soon as their own
+  // commit succeeds, so an update flat-nested into an enclosing
+  // transaction would act on a commit that may never happen. The
+  // shared update loop's nesting guard aborts instead, in every build
+  // type.
+  ListT list(Params{.node_size = 8, .max_level = 6});
+  CHECK(list.insert(1, 1));
+  CHECK(aborts_in_child([&] {
+    leap::txn([&](leap::stm::Tx&) { list.insert(2, 2); });
+  }));
+  CHECK(aborts_in_child([&] {
+    leap::txn([&](leap::stm::Tx&) { list.erase(1); });
+  }));
+  CHECK_EQ(*list.get(1), 1);
+  std::printf("  %s update inside a transaction aborts ok\n", name);
 }
 
 }  // namespace
@@ -182,5 +206,8 @@ int main() {
   const Params paper{.node_size = 300, .max_level = 10};
   test_variant<LeapListLT>("LT/300", paper);
   test_stuck_search_aborts();
+  test_update_refuses_open_tx<LeapListLT>("LT");
+  test_update_refuses_open_tx<LeapListCOP>("COP");
+  test_update_refuses_open_tx<LeapListRW>("RW");
   return leap::test::finish("test_leaplist");
 }
