@@ -8,14 +8,15 @@
 //
 // Sweep 2 (PR 10): the bundled-reference crossover. One ShardedMap
 // under a mixed scan/update workload, with the SAME linearizable
-// guarantee delivered two ways: policy::TM's stitched scan (one
-// transaction across all covered shards — instrumented reads, conflict
-// aborts against the updaters) versus for_range_bundled on the same
-// map (pin one timestamp, walk as-of it, zero STM involvement in the
-// traversal). Sharded LT rides along as the bundled-native series.
-// Narrow spans keep the two close (fixed per-op cost dominates); wide
-// spans under update pressure are where the transactional scan pays
-// for its read-set and retries while the as-of walk never aborts.
+// guarantee delivered two ways: a transactional stitch (leap::txn
+// around policy::TM's composable for_range_in — instrumented reads
+// across all covered shards, conflict aborts against the updaters)
+// versus the map's own for_range on the same map (pin one timestamp,
+// walk as-of it, zero STM involvement in the traversal). Sharded LT
+// rides along as the bundled-native series. Narrow spans keep the two
+// close (fixed per-op cost dominates); wide spans under update
+// pressure are where the transactional scan pays for its read-set and
+// retries while the as-of walk never aborts.
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -27,14 +28,15 @@ using namespace leap::bench;
 
 namespace {
 
-/// MapAdapter clone whose range op goes through the explicit
-/// STM-free bundled walk instead of the policy's default for_range —
-/// on a sharded TM map that is the one-line difference between the
-/// two sides of the crossover. Everything else delegates.
+/// MapAdapter clone whose range op runs the transactional stitch:
+/// leap::txn around the composable for_range_in. On a sharded TM map
+/// that is the one difference between the two sides of the crossover;
+/// the plain MapAdapter's for_range is the as-of walk. Everything else
+/// delegates.
 template <typename MapT>
-class BundledRangeAdapter {
+class StitchedRangeAdapter {
  public:
-  explicit BundledRangeAdapter(const WorkloadConfig& cfg) : inner_(cfg) {}
+  explicit StitchedRangeAdapter(const WorkloadConfig& cfg) : inner_(cfg) {}
 
   void op_lookup(leap::util::Xoshiro256& rng) { inner_.op_lookup(rng); }
   void op_modify(leap::util::Xoshiro256& rng) { inner_.op_modify(rng); }
@@ -47,10 +49,12 @@ class BundledRangeAdapter {
         rng.next_below(cfg.rq_span_max - cfg.rq_span_min + 1);
     const auto low =
         static_cast<std::int64_t>(1 + rng.next_below(cfg.key_range));
+    const auto high = static_cast<std::int64_t>(low + span);
     auto& buf = scratch();
-    buf.clear();
-    inner_.map(0).for_range_bundled(
-        low, static_cast<std::int64_t>(low + span), leap::append_to(buf));
+    leap::txn([&](leap::stm::Tx& tx) {
+      buf.clear();  // the closure may re-run after a conflict
+      inner_.map(0).for_range_in(tx, low, high, leap::append_to(buf));
+    });
   }
 
  private:
@@ -118,8 +122,9 @@ int main() {
   print_figure_header(
       std::cout, "Crossover: bundled vs TM-stitched scans (PR 10)",
       "50% range / 50% modify, 100K elements, 8 shards, max threads; "
-      "same ShardedMap<TM>, scans stitched as one transaction vs walked "
-      "as-of one pinned bundle timestamp",
+      "same ShardedMap<TM>, scans stitched as one transaction "
+      "(leap::txn + for_range_in) vs walked as-of one pinned bundle "
+      "timestamp (for_range)",
       "both sides are linearizable; the bundled walk never aborts, so "
       "its edge grows with span width and update pressure");
 
@@ -136,11 +141,11 @@ int main() {
     cfg.rq_span_max = span;
 
     const double stitched =
-        harness::run_workload<MapAdapter<ShardedTMMap>>(cfg, repeats)
+        harness::run_workload<StitchedRangeAdapter<ShardedTMMap>>(cfg,
+                                                                  repeats)
             .ops_per_sec;
     const double bundled =
-        harness::run_workload<BundledRangeAdapter<ShardedTMMap>>(cfg,
-                                                                 repeats)
+        harness::run_workload<MapAdapter<ShardedTMMap>>(cfg, repeats)
             .ops_per_sec;
     const double lt_bundled =
         harness::run_workload<MapAdapter<ShardedLTMap>>(cfg, repeats)

@@ -8,14 +8,16 @@
 //                 should rise with S while any shared hot spot
 //                 (structure head, lock, STM clock) dilutes.
 //   mixed         40% lookup / 30% range / 30% modify — stitched range
-//                 queries pay a per-shard segment cost (and for tm run
-//                 the whole stitched scan as ONE transaction), so this
-//                 bounds the sharding win under range pressure.
+//                 queries pay a per-shard segment cost (each one as-of
+//                 walk at one pinned bundle timestamp, on every
+//                 series), so this bounds the sharding win under range
+//                 pressure.
 //
-// Series: sharded LT (locked publish), sharded tm (composable, the
-// stitched scans are linearizable), and sharded rwlock (the global
-// reader-writer lock splits S ways — the dramatic case). S = 1 is the
-// routed baseline, so ratios isolate partitioning from routing cost.
+// Series: sharded LT (locked publish), sharded tm (composable updates;
+// its stitched scans are as-of walks, like every series'), and sharded
+// rwlock (the global reader-writer lock splits S ways — the dramatic
+// case). S = 1 is the routed baseline, so ratios isolate partitioning
+// from routing cost.
 //
 // bench/record_bench.sh wraps this bench's JSON (LEAP_BENCH_JSON) into
 // BENCH_PR5.json; the S-scaling ratios are the PR's acceptance signal.

@@ -17,8 +17,9 @@
 #     absolute ops/sec are machine-dependent.
 #   * bench/abl_rqspan.cpp (PR 10) — range-query span sweep plus the
 #     bundled-references crossover: one 8-shard ShardedMap under 50%
-#     range / 50% modify, the TM-stitched transactional scan vs the
-#     for_range_bundled as-of walk on the same map. Both sides are
+#     range / 50% modify, the TM-stitched transactional scan
+#     (leap::txn + for_range_in) vs the for_range as-of walk on the
+#     same map. Both sides are
 #     linearizable; bundled_over_stitched_spanN per span width is the
 #     portable signal (the as-of walk never aborts, so its edge grows
 #     with span and update pressure).
@@ -238,7 +239,7 @@ REPLAY_MS=$((RESTART_MS > BASELINE_MS ? RESTART_MS - BASELINE_MS : 0))
   echo -n '  "shard_sweep": '
   sed 's/^/  /' "$CUR_SHARD" | sed '1s/^  //'
   echo ','
-  echo '  "rqspan_workload": "one structure, 100K keys, max threads; sweep 1: 100% range queries, LT vs skip baselines, per span; sweep 2 (crossover): 50% range / 50% modify on one 8-shard ShardedMap, TM-stitched transactional scan vs for_range_bundled as-of walk on the SAME map (both linearizable), plus sharded-LT bundled-native; the bundled_over_stitched_spanN ratios are the portable signal",'
+  echo '  "rqspan_workload": "one structure, 100K keys, max threads; sweep 1: 100% range queries, LT vs skip baselines, per span; sweep 2 (crossover): 50% range / 50% modify on one 8-shard ShardedMap, TM-stitched transactional scan (leap::txn + for_range_in) vs for_range as-of walk on the SAME map (both linearizable), plus sharded-LT bundled-native; the bundled_over_stitched_spanN ratios are the portable signal",'
   echo -n '  "rqspan": '
   sed 's/^/  /' "$CUR_RQSPAN" | sed '1s/^  //'
   echo ','

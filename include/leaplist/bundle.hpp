@@ -20,7 +20,7 @@
 // current successor when the link's version <= ts, and otherwise the
 // bundle's newest entry with entry.ts <= ts. One ts replayed across
 // every shard of a ShardedMap gives a linearizable stitched scan on
-// LT/COP/RW — the scan linearizes at the instant the clock read ts.
+// every policy — the scan linearizes at the instant the clock read ts.
 //
 // Reclamation contract: an entry may be reclaimed once it is strictly
 // older than the newest entry whose timestamp <= the oldest announced
@@ -29,9 +29,9 @@
 // stay safe; the slot-announce handshake (store 0, then read the clock,
 // all seq_cst) guarantees a pruner either sees the announcement or
 // finished pruning before the scan's clock read, so a pinned scan's
-// lookup never fails. Scans still restart defensively on a failed
-// lookup — the path is unreachable in the current protocol but cheap
-// insurance against future reorderings.
+// lookup never fails. A walk never restarts: a failed lookup means a
+// timestamp no pin announced, and the walk aborts (leaplist.hpp's
+// succ_at).
 #pragma once
 
 #include <array>
@@ -131,16 +131,6 @@ class ScanPin {
 
   std::uint64_t ts() const noexcept { return ts_; }
 
-  /// Re-announce with a fresh clock read (defensive-restart path). The
-  /// slot passes back through the announcing state so pruning stays
-  /// blocked across the switch.
-  void refresh() noexcept {
-    detail::slots()[slot_].store(detail::kSlotAnnouncing,
-                                 std::memory_order_seq_cst);
-    ts_ = stm::clock_now();
-    detail::slots()[slot_].store(ts_, std::memory_order_seq_cst);
-  }
-
  private:
   util::ebr::Guard guard_;
   std::size_t slot_ = 0;
@@ -167,7 +157,7 @@ inline void insert(std::atomic<Entry*>& head, std::uint64_t ts,
 
 /// The link's target as of `ts`: the newest entry with entry.ts <= ts.
 /// Returns nullptr when the history needed has been pruned (or the
-/// node was born after ts) — callers restart with a fresh timestamp.
+/// node was born after ts), which no walk at a pinned ts can meet.
 inline void* find(const std::atomic<Entry*>& head,
                   std::uint64_t ts) noexcept {
   for (Entry* e = head.load(std::memory_order_acquire); e != nullptr;

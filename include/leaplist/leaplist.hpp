@@ -75,12 +75,13 @@ bool visit_one(F& fn, const KT& key, const VT& value) {
   }
 }
 
-/// A single-op range scan may re-visit from the low bound: TM's scan
-/// retries its whole transaction, and the bundled walk re-pins when
-/// the history it needs was pruned. A visitor that accumulates state
-/// may expose an `on_restart()` member to roll that state back;
-/// visitors without one are assumed stateless (count-only, early-exit
-/// probes). The composable (in-transaction) forms never restart.
+/// A single-op TM scan runs as one transaction (LeapListTM::for_range,
+/// SkipListTM::for_range), and a conflicting attempt re-visits from
+/// the low bound. A visitor that accumulates state may expose an
+/// `on_restart()` member to roll that state back; visitors without one
+/// are assumed stateless (count-only, early-exit probes). Every other
+/// scan delivers each pair once: the as-of walk and the composable
+/// (in-transaction) forms never restart.
 template <typename F>
 void visit_restart(F& fn) {
   if constexpr (requires { fn.on_restart(); }) fn.on_restart();
@@ -394,13 +395,15 @@ inline void assert_user_key([[maybe_unused]] Key key) {
 /// immediately, so enlisting them in an enclosing transaction — which
 /// would flat-nest their internal atomically and defer the publish —
 /// silently corrupts the structure: locks released and victims retired
-/// for an update that may never commit. The composable, nestable API
-/// is LeapListTM's `*_in` forms (and its single-op wrappers).
+/// for an update that may never commit. ShardedMap's single-op scans
+/// walk as of a pinned timestamp and would silently miss the enclosing
+/// transaction's own writes. The composable, nestable API is
+/// LeapListTM's `*_in` forms (and its single-op wrappers).
 inline void require_no_open_tx(const char* what) {
   if (stm::tls_tx().in_tx()) {
     std::fprintf(stderr,
                  "leaplist: %s cannot enlist in an open transaction; use "
-                 "LeapListTM\n",
+                 "the *_in forms of policy::TM\n",
                  what);
     std::abort();
   }
@@ -821,20 +824,17 @@ class LeapListBase {
   // so a reader that pins a timestamp walks the chain exactly as it
   // was at that instant — no STM transaction, no validation, no
   // retries against concurrent updaters. This is LT's, COP's and RW's
-  // for_range. ShardedMap replays ONE pinned timestamp across all
-  // shards, which is what makes stitched scans linearizable on those
-  // policies (policy::TM keeps its transactional scan for
-  // composability).
+  // for_range, and every single-op ShardedMap scan (any policy) replays
+  // ONE pinned timestamp across its shards through for_range_at. The
+  // walk never restarts: the pin keeps every link's history at its
+  // timestamp, so each pair is delivered once.
 
-  /// One attempt at visiting [low, high] as of `ts`. The caller owns
-  /// the pin (bundle::ScanPin) whose announce protocol guarantees the
-  /// needed history is retained; returns false on the defensive-restart
-  /// path (pruned-past lookup), after which the caller re-pins a fresh
-  /// timestamp. `stopped` reports a visitor early exit (scan delivered
-  /// a consistent prefix and stopped).
+  /// Visit [low, high] as of `ts` and return the number of pairs
+  /// visited: the as-of mirror of for_range_in(tx, ...). The caller
+  /// holds the bundle::ScanPin that announced `ts`. A visitor that
+  /// returns false stops the walk after a consistent prefix.
   template <typename F>
-  bool try_for_range_asof(std::uint64_t ts, Key low, Key high, F& fn,
-                          std::size_t& count, bool& stopped) const {
+  std::size_t for_range_at(std::uint64_t ts, Key low, Key high, F&& fn) const {
     const SearchResult sr =
         search_predecessors(head_, params_.max_level, low);
     const Node* x = head_;
@@ -844,19 +844,13 @@ class LeapListBase {
         break;
       }
     }
-    while (true) {
-      const Node* n = succ_at(x, ts);
-      if (n == nullptr) return false;
-      if (n == tail_) return true;
-      if (n->high_raw() >= low) {
-        if (!visit_node(n, low, high, fn, count)) {
-          stopped = true;
-          return true;
-        }
-        if (n->high_raw() >= high) return true;
-      }
-      x = n;
+    std::size_t count = 0;
+    for (const Node* n = succ_at(x, ts); n != tail_; n = succ_at(n, ts)) {
+      if (n->high_raw() < low) continue;
+      if (!visit_node(n, low, high, fn, count)) break;
+      if (n->high_raw() >= high) break;
     }
+    return count;
   }
 
   /// Linearizable range visitation via bundled references: pin a
@@ -866,21 +860,10 @@ class LeapListBase {
   /// content plus the link history makes the visitation one consistent
   /// snapshot. The visitor may stop the scan early (return false); the
   /// visited prefix is itself a snapshot at the pinned instant.
-  /// on_restart fires before each attempt: the defensive-restart path
-  /// re-pins and re-visits from `low`. LeapListTM hides this with its
-  /// transactional scan.
   template <typename F>
   std::size_t for_range(Key low, Key high, F&& fn) const {
     bundle::ScanPin pin;
-    while (true) {
-      detail::visit_restart(fn);
-      std::size_t count = 0;
-      bool stopped = false;
-      if (try_for_range_asof(pin.ts(), low, high, fn, count, stopped)) {
-        return count;
-      }
-      pin.refresh();
-    }
+    return for_range_at(pin.ts(), low, high, fn);
   }
 
   /// Legacy bulk form: REPLACES `out` (clears, then collects). New code
@@ -921,18 +904,29 @@ class LeapListBase {
     return !util::is_marked(word) || version > ts;
   }
 
-  /// `x`'s level-0 successor at instant `ts` (x must have been on the
-  /// chain at ts). Current link when its last change is <= ts, bundle
-  /// lookup otherwise; nullptr means the needed history is gone and the
-  /// scan must restart with a fresh timestamp.
+  /// `x`'s level-0 successor at instant `ts` (x was on the chain at
+  /// ts): the current link when its last change is <= ts, the bundle
+  /// entry otherwise. A held ScanPin keeps that history, so finding
+  /// none means the walk's `ts` was never announced; that aborts in
+  /// every build, as require_no_open_tx does, instead of answering a
+  /// wrong snapshot.
   static const Node* succ_at(const Node* x, std::uint64_t ts) {
     std::uint64_t version = 0;
     const std::uint64_t word = x->next(0).snapshot_word(version);
-    if (version <= ts) {
-      if (util::is_marked(word)) return nullptr;
-      return util::to_ptr<Node>(word);
+    const void* next = nullptr;
+    if (version > ts) {
+      next = bundle::find(x->bundle0, ts);
+    } else if (!util::is_marked(word)) {
+      next = util::to_ptr<Node>(word);
     }
-    return static_cast<const Node*>(bundle::find(x->bundle0, ts));
+    if (next == nullptr) {
+      std::fprintf(stderr,
+                   "leaplist: as-of walk found no link history at ts %llu; "
+                   "walk only at the timestamp of a held bundle::ScanPin\n",
+                   static_cast<unsigned long long>(ts));
+      std::abort();
+    }
+    return static_cast<const Node*>(next);
   }
   /// One update: a put of {key, value}, or an erase of key.
   struct Update {

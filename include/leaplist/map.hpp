@@ -24,15 +24,17 @@
 //   });
 //   for (const auto& [id, o] : book.snapshot(low, high)) ...  // Cursor
 //
-// Visitor contract: a single-op scan may re-visit from `low` (TM's
-// transaction retries whole; the bundled walk re-pins when history it
-// needs was pruned), so a visitor that ACCUMULATES must expose
+// Visitor contract: policy::TM's and policy::SkipTM's single-op
+// for_range/scan run as one transaction, and a conflicting attempt
+// re-visits from `low`, so a visitor that ACCUMULATES must expose
 // `on_restart()` to roll its state back — leap::append_to does;
 // overwrite-style or stateless visitors (like the early-exit probe
-// above) need nothing. The composable `*_in` forms never call
-// on_restart: a conflict re-runs the enclosing leap::txn closure, which
-// resets what it accumulated. The committed visitation is always one
-// consistent snapshot for the leap-list policies.
+// above) need nothing. Every other scan delivers each pair once: the
+// as-of walk of LT/COP/RW never restarts, and the composable `*_in`
+// forms never call on_restart (a conflict re-runs the enclosing
+// leap::txn closure, which resets what it accumulated). The committed
+// visitation is always one consistent snapshot for the leap-list
+// policies.
 #pragma once
 
 #include <algorithm>
@@ -203,43 +205,32 @@ class Map {
 
   // --- As-of building blocks (bundled-reference stitching) -----------
   // ShardedMap pins ONE timestamp and replays it across shards through
-  // these; a false return means the bundle history needed at `ts` is
-  // gone and the WHOLE stitched walk restarts with a fresh pin — no
-  // per-shard restart happens here, which is what lets the stitcher
-  // deliver straight into the caller's visitor.
+  // these, delivering straight into the caller's visitor. The caller
+  // holds the bundle::ScanPin that announced `ts`.
 
-  /// Visit [low, high] as of the pinned timestamp `ts`, delivering into
-  /// `fn` and accumulating into `delivered`. Sets `stopped` when the
-  /// visitor ended the scan early.
+  /// Visit [low, high] as of `ts`; returns the number of pairs visited.
   template <typename F>
-  bool try_for_range_at(std::uint64_t ts, const K& low, const K& high,
-                        F& fn, std::size_t& delivered, bool& stopped) const
+  std::size_t for_range_at(std::uint64_t ts, const K& low, const K& high,
+                           F&& fn) const
     requires requires(const engine_type& e) { e.debug_max_bundle(); }
   {
     Decoded<F> visitor{fn};
-    return engine_.try_for_range_asof(ts, KeyCodec::encode(low),
-                                      KeyCodec::encode(high), visitor,
-                                      delivered, stopped);
+    return engine_.for_range_at(ts, KeyCodec::encode(low),
+                                KeyCodec::encode(high), visitor);
   }
 
-  /// Append up to `limit` pairs with key >= low as of `ts` onto `out`.
-  /// Sets `filled` when the limit was reached. The caller owns rolling
-  /// `out` back across stitched-walk retries.
-  bool try_scan_at(std::uint64_t ts, const K& low, std::size_t limit,
-                   std::vector<value_type>& out, bool& filled) const
+  /// Append up to `limit` pairs with key >= low as of `ts` onto `out`;
+  /// returns the number appended.
+  std::size_t scan_at(std::uint64_t ts, const K& low, std::size_t limit,
+                      std::vector<value_type>& out) const
     requires requires(const engine_type& e) { e.debug_max_bundle(); }
   {
+    if (limit == 0) return 0;
     BoundedAppend sink{out, out.size(), limit};
     Decoded<BoundedAppend> visitor{sink};
-    std::size_t delivered = 0;
-    bool stopped = false;
-    if (!engine_.try_for_range_asof(ts, KeyCodec::encode(low),
-                                    core::kSentinelKey - 1, visitor,
-                                    delivered, stopped)) {
-      return false;
-    }
-    filled = stopped;
-    return true;
+    engine_.for_range_at(ts, KeyCodec::encode(low), core::kSentinelKey - 1,
+                         visitor);
+    return out.size() - sink.base;
   }
 
   /// A materialized snapshot of [low, high]: captured through one

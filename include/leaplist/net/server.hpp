@@ -17,7 +17,8 @@
 //   * a Txn frame's sub-ops run in their own leap::txn (the paper's
 //     composable multi-key transaction, across shards, over the wire);
 //   * a Scan streams ScanChunk frames of kScanChunkPairs pairs, each
-//     chunk one bounded stitched transaction, so a large range is
+//     chunk one bounded as-of walk across shards at its own pinned
+//     bundle timestamp (no STM transaction), so a large range is
 //     never buffered fully — in memory or in the socket buffer
 //     (output backpressure pauses chunk production).
 // Malformed input (bad opcode/body, zero or oversized length prefix)

@@ -19,30 +19,22 @@
 // views instead of merging copies — the REMIX argument).
 //
 // Point operations route to exactly one shard with zero added
-// synchronization. Cross-shard range queries stitch the shards'
-// visitations in key order, and are linearizable on EVERY policy:
-//
-//   policy::TM   the whole stitched scan runs inside ONE leap::txn —
-//                the multi-shard snapshot is linearizable (the paper's
-//                multi-list atomicity applied to partitions). Each
-//                shard delivers straight into the caller's visitor.
-//                The transaction may retry whole; the visitor is
-//                rolled back via its on_restart() hook (leap::append_to
-//                has one), exactly the Map visitor contract.
-//   others       bundled references (leaplist/bundle.hpp): the scan
-//                pins ONE global timestamp and walks every covered
-//                shard as of that instant, so the stitched result is a
-//                linearizable multi-shard snapshot with zero reliance
-//                on the STM — the scan linearizes at its clock read.
-//                Restarts (pruned history) re-pin and rerun the whole
-//                stitched walk through the visitor's on_restart hook.
+// synchronization. A single-op cross-shard range query (for_range,
+// scan, snapshot) is linearizable on EVERY policy by one mechanism,
+// bundled references (leaplist/bundle.hpp): it pins ONE global
+// timestamp and walks every covered shard as of that instant, with
+// zero reliance on the STM. It linearizes at the pin's clock read,
+// delivers each pair once and never restarts. Called inside an open
+// transaction these forms abort, because an as-of walk cannot see the
+// transaction's own writes.
 //
 // Shards are leap lists. The skip-list baselines keep no bundled
 // references and stay unsharded.
 //
 // For policy::TM the composable `*_in` forms route inside the caller's
-// open transaction, so multi-key operations spanning shards — and whole
-// ShardedMaps alongside other maps — compose into one atomic unit:
+// open transaction, so multi-key operations spanning shards — whole
+// ShardedMaps alongside other maps, and stitched scans (for_range_in,
+// scan_in) alongside writes — compose into one atomic unit:
 //
 //   leap::ShardedMap<std::uint64_t, Order, leap::policy::TM> book(
 //       {.shards = 16, .params = params}, min_id, max_id);
@@ -89,8 +81,8 @@ template <typename K, typename V, MapPolicy Policy = policy::LT,
 class ShardedMap {
   static_assert(
       std::derived_from<typename Policy::engine, core::LeapListBase>,
-      "ShardedMap shards leap lists only: its non-TM scans walk bundled "
-      "references, which the skip-list baselines do not keep");
+      "ShardedMap shards leap lists only: its single-op scans walk "
+      "bundled references, which the skip-list baselines do not keep");
 
  public:
   using key_type = K;
@@ -145,87 +137,47 @@ class ShardedMap {
   // --- Stitched range queries ----------------------------------------
 
   /// Visit every pair with low <= key <= high in global key order,
-  /// stitching the covered shards' visitations into one linearizable
-  /// multi-shard snapshot (one transaction for policy::TM, one pinned
-  /// bundle timestamp otherwise). Same visitor contract as
-  /// leap::Map::for_range — an accumulating visitor needs on_restart().
-  /// Returns the number of pairs delivered.
+  /// stitching the covered shards' as-of walks at one pinned timestamp
+  /// into one linearizable multi-shard snapshot, on every policy. Same
+  /// visitor contract as leap::Map::for_range; each pair is delivered
+  /// once. Returns the number of pairs delivered. Aborts inside an
+  /// open transaction: compose with for_range_in instead.
   template <typename F>
   std::size_t for_range(const K& low, const K& high, F&& fn) const {
-    if constexpr (Policy::kComposable) {
-      return leap::txn([&](stm::Tx& tx) {
-        core::detail::visit_restart(fn);  // per-attempt rollback
-        return for_range_in(tx, low, high, fn);
-      });
-    } else {
-      return for_range_bundled(low, high, fn);
-    }
-  }
-
-  /// The bundled-reference stitched walk, available on every policy
-  /// (TM updates maintain bundles too): pin one timestamp, deliver each
-  /// covered shard's as-of visitation straight into `fn`, and restart
-  /// the whole walk with a fresh pin if any shard's history at that
-  /// timestamp was already pruned. This is the non-TM for_range path,
-  /// and on policy::TM it is the STM-free alternative the abl_rqspan
-  /// crossover measures against transactional stitching.
-  template <typename F>
-  std::size_t for_range_bundled(const K& low, const K& high, F&& fn) const {
+    core::require_no_open_tx("ShardedMap::for_range");
     const core::Key low_word = KeyCodec::encode(low);
     const core::Key high_word = KeyCodec::encode(high);
     if (low_word > high_word) return 0;
-    const std::size_t first = route(low_word);
     const std::size_t last = route(high_word);
     bundle::ScanPin pin;
-    while (true) {
-      core::detail::visit_restart(fn);
-      std::size_t delivered = 0;
-      bool stopped = false;
-      bool ok = true;
-      for (std::size_t s = first; s <= last && !stopped; ++s) {
-        if (!shards_[s]->try_for_range_at(pin.ts(), low, high, fn,
-                                          delivered, stopped)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) return delivered;
-      pin.refresh();
+    Relay<F> relay{fn};
+    std::size_t delivered = 0;
+    for (std::size_t s = route(low_word); s <= last && !relay.stopped; ++s) {
+      delivered += shards_[s]->for_range_at(pin.ts(), low, high, relay);
     }
+    return delivered;
+  }
+
+  /// for_range under its older name, which perfbench's traced replay
+  /// (perfbench/trace.cpp) calls.
+  template <typename F>
+  std::size_t for_range_bundled(const K& low, const K& high, F&& fn) const {
+    return for_range(low, high, fn);
   }
 
   /// Bounded stitched scan: APPEND up to `limit` pairs with key >= low
-  /// onto `out`, in global key order. One transaction for policy::TM;
-  /// one pinned bundle timestamp otherwise — linearizable either way.
+  /// onto `out`, in global key order, as of one pinned timestamp on
+  /// every policy. Aborts inside an open transaction, as for_range does
+  /// (scan_in is the composable form).
   std::size_t scan(const K& low, std::size_t limit,
                    std::vector<value_type>& out) const {
+    core::require_no_open_tx("ShardedMap::scan");
     if (limit == 0) return 0;
     const std::size_t base = out.size();
-    if constexpr (Policy::kComposable) {
-      leap::txn([&](stm::Tx& tx) {
-        out.resize(base);  // the closure may re-run after a conflict
-        scan_in(tx, low, limit, out);
-      });
-    } else {
-      const std::size_t first = route(KeyCodec::encode(low));
-      bundle::ScanPin pin;
-      while (true) {
-        out.resize(base);  // rerun after a pruned-history restart
-        bool ok = true;
-        for (std::size_t s = first; s < shards_.size(); ++s) {
-          const std::size_t got = out.size() - base;
-          if (got >= limit) break;
-          bool filled = false;
-          if (!shards_[s]->try_scan_at(pin.ts(), low, limit - got, out,
-                                       filled)) {
-            ok = false;
-            break;
-          }
-          if (filled) break;
-        }
-        if (ok) break;
-        pin.refresh();
-      }
+    bundle::ScanPin pin;
+    for (std::size_t s = route(KeyCodec::encode(low));
+         s < shards_.size() && out.size() - base < limit; ++s) {
+      shards_[s]->scan_at(pin.ts(), low, limit - (out.size() - base), out);
     }
     return out.size() - base;
   }

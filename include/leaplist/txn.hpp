@@ -17,11 +17,13 @@
 // end. An EBR guard is held for the whole transaction so composable ops
 // may traverse unlocked and defer victim retirement to commit.
 //
-// Nesting: txn inside txn (or a single-op leap-list call inside txn)
+// Nesting: txn inside txn (or a single-op LeapListTM call inside txn)
 // flat-nests into the enclosing transaction. Only LeapListTM exposes
-// composable/nestable operations; LT and COP updates assert out of an
-// open transaction because their publish path acts on commit success
-// immediately.
+// composable/nestable operations. LT, COP and RW updates abort inside
+// an open transaction because their publish path acts on commit
+// success immediately, and so do ShardedMap's single-op scans
+// (for_range, scan, snapshot), whose as-of walk cannot see the
+// transaction's own writes; ShardedMap::for_range_in/scan_in nest.
 #pragma once
 
 #include <optional>

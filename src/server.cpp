@@ -730,11 +730,11 @@ struct Server::Worker {
     c.scan = s;
   }
 
-  /// Produce the next chunk of an in-flight scan: one bounded stitched
-  /// transaction per chunk (kScanChunkPairs caps both the txn's read
-  /// span and the buffered pairs). A scan whose whole result fits one
-  /// chunk is answered by a single transaction — fully linearizable;
-  /// longer streams are consistent per chunk (docs/server.md).
+  /// Produce the next chunk of an in-flight scan: one bounded as-of
+  /// walk per chunk, at its own pinned timestamp (kScanChunkPairs caps
+  /// the buffered pairs). A scan whose whole result fits one chunk is
+  /// fully linearizable; longer streams are consistent per chunk
+  /// (docs/server.md).
   void emit_scan_chunk(Conn& c) {
     ScanState& s = *c.scan;
     const std::size_t cap =
@@ -747,13 +747,11 @@ struct Server::Worker {
       return;
     }
     scan_buf.clear();
-    const std::uint64_t aborts_before = sample_aborts();
     if (store::Store* st = server.store_.get()) {
       st->scan_merged(s.next_low, cap, scan_buf);
     } else {
       server.map_.scan(s.next_low, cap, scan_buf);
     }
-    charge_retries(aborts_before);
     // scan() is bounded below only; clip the tail past `high`.
     std::size_t n = scan_buf.size();
     while (n > 0 && scan_buf[n - 1].first > s.high) --n;

@@ -1,7 +1,8 @@
 // Bundled-reference battery: the scan-linearizability proof for the
-// non-TM policies (the tentpole of the bundling PR).
+// as-of walk, which every single-op ShardedMap scan takes on every
+// policy.
 //
-// 1. Cross-shard scan-linearizability stress for LT/COP/RW — movers
+// 1. Cross-shard scan-linearizability stress for LT/COP/RW/TM — movers
 //    bounce logical keys between slots in different shards
 //    (insert-destination-then-erase-source, each key owned by one
 //    mover) while stitched for_range / bounded scan / snapshot-Cursor
@@ -9,8 +10,8 @@
 //    at every instant. Zero copies is precisely the per-shard-
 //    consistency anomaly bundling eliminates: a non-linearizable
 //    stitch can read the source shard after the erase and the
-//    destination shard before the insert. Mirrors the TM battery in
-//    test_sharded.cpp.
+//    destination shard before the insert. test_sharded.cpp keeps the
+//    atomic-mover battery for the transactional stitch (for_range_in).
 // 2. Per-policy bundle fuzz: randomized insert/erase/scan churn at
 //    node_size=4 (split storm — bundle publication races node
 //    replacement on nearly every update) against a timestamp-annotated
@@ -21,6 +22,8 @@
 //    stays visible to a scan pinned before T and invisible at >= T,
 //    across a node split of its cover node and after EBR bundle
 //    reclamation (bundle_prune_all + collect) runs.
+// 4. A walk never restarts: one at a timestamp no pin announced, whose
+//    history was pruned, aborts in every build type (death test).
 //
 // LEAP_STRESS_MS scales the stress window; the file runs in the ASan
 // and TSan CI jobs.
@@ -260,8 +263,8 @@ void test_bundle_fuzz(const char* name) {
   CHECK(map.debug_validate());
 
   // As-of walks at sampled historical timestamps: each must match the
-  // oracle replayed to exactly that timestamp, and none may fail (the
-  // pin held their history).
+  // oracle replayed to exactly that timestamp (the pin held their
+  // history; a walk that found none would abort).
   const std::uint64_t now = leap::stm::clock_now();
   CHECK(pin.ts() < now);
   leap::util::Xoshiro256 sample_rng(0x5eed);
@@ -270,13 +273,9 @@ void test_bundle_fuzz(const char* name) {
         pin.ts() + sample_rng.next_below(now - pin.ts() + 1);
     const auto expected = replay_oracle(events, ts);
     std::vector<std::pair<std::int64_t, std::int64_t>> got;
-    auto sink = leap::append_to(got);
-    std::size_t delivered = 0;
-    bool stopped = false;
-    CHECK(map.try_for_range_at(ts, std::int64_t{1}, kKeyRange, sink,
-                               delivered, stopped));
-    CHECK(!stopped);
-    CHECK_EQ(delivered, expected.size());
+    CHECK_EQ(map.for_range_at(ts, std::int64_t{1}, kKeyRange,
+                              leap::append_to(got)),
+             expected.size());
     CHECK_EQ(got.size(), expected.size());
     auto it = expected.begin();
     for (std::size_t i = 0; i < got.size(); ++i, ++it) {
@@ -305,11 +304,8 @@ void test_erase_visibility(const char* name) {
 
   const auto keys_at = [&](std::uint64_t ts) {
     std::vector<std::pair<std::int64_t, std::int64_t>> got;
-    auto sink = leap::append_to(got);
-    std::size_t delivered = 0;
-    bool stopped = false;
-    CHECK(map.try_for_range_at(ts, std::int64_t{1}, std::int64_t{1000},
-                               sink, delivered, stopped));
+    map.for_range_at(ts, std::int64_t{1}, std::int64_t{1000},
+                     leap::append_to(got));
     std::vector<std::int64_t> keys;
     for (const auto& [k, v] : got) keys.push_back(k);
     return keys;
@@ -349,12 +345,40 @@ void test_erase_visibility(const char* name) {
               static_cast<unsigned long long>(erase_ts));
 }
 
+// --- 4. Pruned history aborts the walk --------------------------------
+// With no pin announced, bundle_prune_all keeps only each link's newest
+// entry, so a walk at a timestamp older than every rewrite finds no
+// history for its first link. It must abort, not restart or answer.
+
+void test_unpinned_walk_aborts() {
+  using M = leap::Map<std::int64_t, std::int64_t, policy::LT>;
+  M map(Params{.node_size = 4, .max_level = 4});
+  for (std::int64_t k = 1; k <= 8; ++k) map.insert(k, k);
+  const std::uint64_t ts = leap::stm::clock_now();
+  for (int round = 1; round <= 20; ++round) {
+    for (std::int64_t k = 1; k <= 8; ++k) map.insert(k, k * round);
+  }
+  map.engine().bundle_prune_all();
+  for (int i = 0; i < 4; ++i) leap::util::ebr::collect();
+  CHECK(leap::test::aborts_in_child([&] {
+    map.for_range_at(ts, std::int64_t{1}, std::int64_t{8},
+                     [](std::int64_t, std::int64_t) {});
+  }));
+  // A walk at a held pin still answers the current state.
+  std::vector<std::pair<std::int64_t, std::int64_t>> got;
+  CHECK_EQ(map.for_range(1, 8, leap::append_to(got)), std::size_t{8});
+  CHECK_EQ(got.back().second, std::int64_t{8 * 20});
+  std::printf("  unpinned walk at pruned ts %llu aborts ok\n",
+              static_cast<unsigned long long>(ts));
+}
+
 }  // namespace
 
 int main() {
   test_scan_linearizability<policy::LT>("LT");
   test_scan_linearizability<policy::COP>("COP");
   test_scan_linearizability<policy::RW>("RW");
+  test_scan_linearizability<policy::TM>("TM");
   test_bundle_fuzz<policy::LT>("LT");
   test_bundle_fuzz<policy::COP>("COP");
   test_bundle_fuzz<policy::RW>("RW");
@@ -363,5 +387,6 @@ int main() {
   test_erase_visibility<policy::COP>("COP");
   test_erase_visibility<policy::RW>("RW");
   test_erase_visibility<policy::TM>("TM");
+  test_unpinned_walk_aborts();
   return leap::test::finish("test_bundles");
 }

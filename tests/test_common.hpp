@@ -2,9 +2,14 @@
 // the toolchain image is intentionally dependency-free).
 #pragma once
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 
 namespace leap::test {
@@ -67,3 +72,23 @@ inline int finish(const char* name) {
                              ::leap::test::to_display(vb));                  \
     }                                                                        \
   } while (0)
+
+namespace leap::test {
+
+/// Runs `fn` in a child process, its stderr sent to /dev/null; true
+/// when the child died of SIGABRT. The death tests of the always-on
+/// guards use it.
+inline bool aborts_in_child(const std::function<void()>& fn) {
+  const pid_t child = ::fork();
+  CHECK(child >= 0);
+  if (child == 0) {
+    (void)std::freopen("/dev/null", "w", stderr);
+    fn();
+    std::_Exit(0);
+  }
+  int status = 0;
+  CHECK_EQ(::waitpid(child, &status, 0), child);
+  return WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT;
+}
+
+}  // namespace leap::test

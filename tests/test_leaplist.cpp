@@ -3,13 +3,8 @@
 // the checked-build bound on a search stuck on a retired node, and the
 // always-on guard against enlisting an LT/COP/RW update in an open
 // transaction.
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -20,6 +15,7 @@
 #include "util/random.hpp"
 
 using namespace leap::core;
+using leap::test::aborts_in_child;
 
 namespace {
 
@@ -134,20 +130,6 @@ void test_variant(const char* name, Params params) {
     CHECK(list.debug_validate());
   }
   std::printf("  variant %s ok\n", name);
-}
-
-/// Runs `fn` in a child process; true when the child died of SIGABRT.
-bool aborts_in_child(const std::function<void()>& fn) {
-  const pid_t child = ::fork();
-  CHECK(child >= 0);
-  if (child == 0) {
-    (void)std::freopen("/dev/null", "w", stderr);
-    fn();
-    std::_Exit(0);
-  }
-  int status = 0;
-  CHECK_EQ(::waitpid(child, &status, 0), child);
-  return WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT;
 }
 
 void test_stuck_search_aborts() {

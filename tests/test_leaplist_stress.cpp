@@ -226,14 +226,12 @@ void bundle_reclaim_variant(const char* name) {
   const auto walk_at = [&](std::uint64_t ts, std::vector<KV>& out) {
     out.clear();
     auto sink = [&](Key k, Value v) { out.push_back(KV{k, v}); };
-    std::size_t count = 0;
-    bool stopped = false;
-    return list.try_for_range_asof(ts, 1, kRange, sink, count, stopped);
+    CHECK_EQ(list.for_range_at(ts, 1, kRange, sink), out.size());
   };
   {
     leap::bundle::ScanPin pin;  // the long-pinned scanner
     std::vector<KV> baseline;
-    CHECK(walk_at(pin.ts(), baseline));
+    walk_at(pin.ts(), baseline);
     barrier.arrive_and_wait();
     const auto deadline =
         std::chrono::steady_clock::now() + stress_duration();
@@ -241,7 +239,7 @@ void bundle_reclaim_variant(const char* name) {
     while (std::chrono::steady_clock::now() < deadline) {
       // The pinned view is frozen: same pairs, same order, every time,
       // no matter how much history the writers pile up meanwhile.
-      CHECK(walk_at(pin.ts(), again));
+      walk_at(pin.ts(), again);
       CHECK_EQ(again.size(), baseline.size());
       for (std::size_t i = 0; i < again.size(); ++i) {
         CHECK_EQ(again[i].key, baseline[i].key);

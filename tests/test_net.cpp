@@ -1,6 +1,7 @@
 // Loopback battery for the net serving layer: protocol framing
 // round-trips, the epoll server's pipelining/burst batching, chunked
-// scan streaming, multi-key txn atomicity observed across connections,
+// scan streaming, multi-key txn atomicity observed across connections
+// (by Txn and by single-chunk Scan readers),
 // a concurrent-clients fuzz against std::map oracles, the overload
 // battery (admission-control shedding in FIFO position, the Stats
 // opcode, EMFILE recovery under a lowered RLIMIT_NOFILE), and the
@@ -644,11 +645,17 @@ void test_concurrent_clients_vs_oracle(Server& server) {
 }
 
 void test_txn_atomicity_across_connections(Server& server) {
-  // A token bounces between two keys in different map shards via the
-  // Txn opcode; reader connections snapshot both keys in one txn and
-  // must see the token in EXACTLY one place at every instant.
-  const std::int64_t key_a = 1'000;
-  const std::int64_t key_b = 900'000;  // other end of the key window
+  // A token bounces between two adjacent keys on either side of a map
+  // shard split point via the Txn opcode. Reader connections snapshot
+  // both keys in one Txn, or Scan [a, b]: that range holds only the
+  // tokens, so it answers in one chunk, one as-of walk across the two
+  // shards. Each must see the token in EXACTLY one place at every
+  // instant.
+  std::int64_t key_a = 1'000;
+  while (server.map().shard_of(key_a + 1) == server.map().shard_of(key_a)) {
+    ++key_a;
+  }
+  const std::int64_t key_b = key_a + 1;
   CHECK(server.map().shard_of(key_a) != server.map().shard_of(key_b));
   {
     Client setup;
@@ -682,9 +689,10 @@ void test_txn_atomicity_across_connections(Server& server) {
       std::swap(from, to);
     }
   });
+  std::atomic<std::uint64_t> scans{0};
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
+  for (int r = 0; r < 6; ++r) {
+    readers.emplace_back([&, r] {
       Client client;
       if (!client.connect("127.0.0.1", server.port())) {
         failed.store(true);
@@ -694,16 +702,32 @@ void test_txn_atomicity_across_connections(Server& server) {
           {Op::kGet, key_a, 0},
           {Op::kGet, key_b, 0},
       };
+      std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto results = client.txn(probe);
-        if (!results) {
-          failed.store(true);
-          return;
+        std::size_t present = 0;
+        std::int64_t value = 0;
+        if (r % 3 == 0) {
+          const auto results = client.txn(probe);
+          if (!results) {
+            failed.store(true);
+            return;
+          }
+          for (const TxnResult& result : *results) {
+            if (result.flag) {
+              ++present;
+              value = result.value;
+            }
+          }
+        } else {
+          pairs.clear();
+          if (client.scan(key_a, key_b, 0, pairs) < 0) {
+            failed.store(true);
+            return;
+          }
+          present = pairs.size();
+          if (!pairs.empty()) value = pairs.front().second;
+          scans.fetch_add(1, std::memory_order_relaxed);
         }
-        const int present =
-            ((*results)[0].flag ? 1 : 0) + ((*results)[1].flag ? 1 : 0);
-        const std::int64_t value =
-            (*results)[0].flag ? (*results)[0].value : (*results)[1].value;
         if (present != 1 || value != 7777) {
           failed.store(true);  // both, neither, or torn: not atomic
           return;
@@ -717,6 +741,7 @@ void test_txn_atomicity_across_connections(Server& server) {
   for (auto& reader : readers) reader.join();
   CHECK(!failed.load());
   CHECK(moves.load() > 0);
+  CHECK(scans.load() > 0);
   Client cleanup;
   CHECK(cleanup.connect("127.0.0.1", server.port()));
   cleanup.erase(key_a);

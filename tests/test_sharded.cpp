@@ -3,12 +3,14 @@
 // reachable), partition-boundary fuzz against std::map (keys adjacent
 // to split points, plus keys outside the hint window), stitched range
 // semantics (early exit, bounded scans, cursors across boundaries),
-// cross-shard composition with plain maps, and the cross-shard
+// cross-shard composition with plain maps, the abort of a single-op
+// stitched scan inside a transaction, and the cross-shard
 // linearizability stress: movers rotate keys between slots in different
 // shards (half through leap::txn with in-transaction invariant checks,
-// half through move_key) while stitched-range and point readers assert
-// exactly-once visibility at every instant. LEAP_STRESS_MS scales the
-// stress window; the whole file runs in the ASan and TSan CI jobs.
+// half through move_key) while stitched-range readers (one
+// transactional, one as-of) and point readers assert exactly-once
+// visibility at every instant. LEAP_STRESS_MS scales the stress window;
+// the whole file runs in the ASan and TSan CI jobs.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -298,6 +300,36 @@ void test_composition() {
   std::printf("  composition ok\n");
 }
 
+void test_nested_scan_aborts() {
+  // A single-op stitched scan walks as of a pinned timestamp, so inside
+  // leap::txn it would miss the transaction's own writes; it aborts in
+  // every build type instead. for_range_in/scan_in are the nestable
+  // forms. Each nested call runs in a child process.
+  using SM = leap::ShardedMap<std::int64_t, std::int64_t, policy::TM>;
+  SM map(ShardOptions{.shards = 4,
+                      .params = Params{.node_size = 8, .max_level = 4}},
+         1, 400);
+  for (std::int64_t k = 10; k <= 400; k += 10) map.insert(k, k);
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  CHECK(leap::test::aborts_in_child([&] {
+    leap::txn([&](leap::stm::Tx& tx) {
+      map.insert_in(tx, 5, 5);
+      map.for_range(1, 400, leap::append_to(out));
+    });
+  }));
+  CHECK(leap::test::aborts_in_child([&] {
+    leap::txn([&](leap::stm::Tx& tx) {
+      map.insert_in(tx, 5, 5);
+      map.scan(1, 100, out);
+    });
+  }));
+  // Outside a transaction both answer.
+  CHECK_EQ(map.for_range(1, 400, leap::append_to(out)), std::size_t{40});
+  CHECK_EQ(map.scan(1, 100, out), std::size_t{40});
+  CHECK_EQ(out.front().first, std::int64_t{10});
+  std::printf("  single-op scan inside a transaction aborts ok\n");
+}
+
 // --- Batched gets inside composed transactions ------------------------
 // get_many_in answers a run of gets as the sequential get_in calls
 // would, at its place in the transaction: it sees the transaction's own
@@ -568,11 +600,19 @@ void test_cross_shard_atomicity_stress() {
       std::vector<int> seen(static_cast<std::size_t>(kLogical) + 1, 0);
       barrier.arrive_and_wait();
       while (!stop.load(std::memory_order_relaxed)) {
-        // One stitched range query = ONE transaction over every shard:
-        // the multi-shard snapshot must hold each logical key exactly
-        // once, in strictly ascending key order.
-        snap.clear();
-        map.for_range(1, kOffset + kLogical, leap::append_to(snap));
+        // Half the readers stitch every shard inside ONE transaction
+        // (for_range_in), half as of ONE pinned timestamp (for_range):
+        // either multi-shard snapshot must hold each logical key
+        // exactly once, in strictly ascending key order.
+        if (t % 2 == 0) {
+          leap::txn([&](leap::stm::Tx& tx) {
+            snap.clear();  // the closure may re-run after a conflict
+            map.for_range_in(tx, 1, kOffset + kLogical, leap::append_to(snap));
+          });
+        } else {
+          snap.clear();
+          map.for_range(1, kOffset + kLogical, leap::append_to(snap));
+        }
         CHECK_EQ(snap.size(), static_cast<std::size_t>(kLogical));
         std::fill(seen.begin(), seen.end(), 0);
         for (std::size_t i = 0; i < snap.size(); ++i) {
@@ -617,6 +657,7 @@ int main() {
   test_boundary_fuzz<policy::COP>("COP");
   test_boundary_fuzz<policy::TM>("TM");
   test_composition();
+  test_nested_scan_aborts();
   test_batched_get_fuzz();
   test_cross_shard_atomicity_stress();
   return leap::test::finish("test_sharded");

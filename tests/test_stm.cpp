@@ -2,11 +2,7 @@
 // conflicting commits, raw vs transactional interplay, the 8-thread
 // counter-increment linearizability check, and the checked-build guard
 // against writes to fields the attempt never read.
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -207,16 +203,9 @@ void test_unread_write_guard() {
   atomically(tx, [&](Tx& t) { field.tx_write_blind(t, 5u); });
   CHECK_EQ(field.load(), 5u);
   if constexpr (kChecks) {
-    const pid_t child = ::fork();
-    CHECK(child >= 0);
-    if (child == 0) {
-      (void)std::freopen("/dev/null", "w", stderr);
+    CHECK(leap::test::aborts_in_child([&] {
       atomically(tls_tx(), [&](Tx& t) { field.tx_write(t, 6u); });
-      std::_Exit(0);
-    }
-    int status = 0;
-    CHECK_EQ(::waitpid(child, &status, 0), child);
-    CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+    }));
     CHECK_EQ(field.load(), 5u);
   }
 }
@@ -226,16 +215,9 @@ void test_endless_abort_guard() {
   // included, would retry forever; checked builds bound the irrevocable
   // attempts and abort instead. A child process runs one.
   if constexpr (kChecks) {
-    const pid_t child = ::fork();
-    CHECK(child >= 0);
-    if (child == 0) {
-      (void)std::freopen("/dev/null", "w", stderr);
+    CHECK(leap::test::aborts_in_child([] {
       atomically(tls_tx(), [](Tx& t) { t.abort(); });
-      std::_Exit(0);
-    }
-    int status = 0;
-    CHECK_EQ(::waitpid(child, &status, 0), child);
-    CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+    }));
   }
 }
 
